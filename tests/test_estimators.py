@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from qpesim.estimators import (
     EstimationResult,
     EstimatorConfig,
     Feedback,
+    StageRecord,
     aqft_estimate,
     constant_precision_estimate,
     estimation_error,
@@ -25,8 +27,9 @@ from qpesim.phase import (
     mod1_distance,
     parse_phase,
     phase_from_bits,
+    post_h_prob_one,
 )
-from qpesim.sampling import RngSeed, make_generator
+from qpesim.sampling import RngSeed, majority, make_generator, run_trials
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 
@@ -199,3 +202,62 @@ class TestSampledDistribution:
         phi = Phase((1 << 61) + (1 << 58))  # 0.28125, midpoint at 3 bits
         tv = empirical_vs_exact(phi, 3, 20_000, gen(8))
         assert tv < 0.02
+
+
+def reference_estimate(phi: Phase, cfg: EstimatorConfig, rng) -> EstimationResult:
+    """The engine written out from the public primitives, one Phase per step."""
+    total_stages = cfg.n + cfg.guard
+    decided: dict[int, int] = {}
+    log = []
+    for i in range(total_stages, 0, -1):
+        if cfg.feedback is Feedback.ORACLE:
+            prior = [phi.bit(i + offset) for offset in range(1, cfg.window + 1)]
+        else:
+            available = min(cfg.window, total_stages - i)
+            prior = [decided[i + offset] for offset in range(1, available + 1)]
+        residual = corrected_residual(double_k(phi, i - 1), prior)
+        stats = run_trials(post_h_prob_one(residual), cfg.reps, rng)
+        decided[i] = majority(stats)
+        log.append(StageRecord(i, residual, stats.t, stats.h, decided[i]))
+    bits = BitString(tuple(decided[i] for i in range(1, cfg.n + 1)))
+    return EstimationResult(
+        bits=bits,
+        estimate=phase_from_bits(bits, phi.width),
+        stage_log=tuple(log),
+        total_tests=cfg.reps * total_stages,
+    )
+
+
+def _replay_cases():
+    """(n, window, reps, guard) covering qft, aqft (window past the stage count) and const."""
+    cases = [(n, n - 1, 1, 0) for n in range(1, 9)]
+    cases += [(n, degree - 1, 1, 0) for n in (2, 7) for degree in range(2, 6)]
+    cases += [(5, 2, reps, guard) for reps in (3, 25) for guard in range(4)]
+    cases += [(4, 4, 25, 2)]
+    return cases
+
+
+REPLAY_SEEDS = 200
+
+
+class TestReplayAgainstPrimitives:
+    @pytest.mark.parametrize("feedback", list(Feedback), ids=lambda f: f.value)
+    @pytest.mark.parametrize("narrow", [False, True], ids=["width64", "narrow"])
+    @pytest.mark.parametrize(
+        "n,window,reps,guard", _replay_cases(), ids=lambda v: str(v)
+    )
+    def test_engine_replays_reference(self, n, window, reps, guard, narrow, feedback):
+        # narrow width sits exactly at the headroom limit n+guard+window = width-4
+        width = n + guard + window + 4 if narrow else 64
+        cfg = EstimatorConfig(n=n, window=window, reps=reps, guard=guard, feedback=feedback)
+        for seed in range(REPLAY_SEEDS):
+            raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
+            if seed % 4 == 0:
+                # a phase on the stage grid makes every probability exactly 0 or 1
+                raw &= ~((1 << (width - n - guard)) - 1)
+            phi = Phase(raw, width)
+            engine_rng, reference_rng = gen(seed), gen(seed)
+            assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+                phi, cfg, reference_rng
+            ), f"seed {seed}, phi {phi}"
+            assert engine_rng.random() == reference_rng.random()
