@@ -151,20 +151,32 @@ def _random_phase(rng: np.random.Generator) -> Phase:
     return Phase(int(rng.integers(0, 1 << DEFAULT_WIDTH, dtype=np.uint64)), DEFAULT_WIDTH)
 
 
-def _single_run(args: argparse.Namespace, seed: RngSeed) -> tuple[Phase, EstimationResult, bool]:
-    """One estimator invocation on its own stream; returns (phase, result, success)."""
-    rng = make_generator(seed)
-    phi = _random_phase(rng) if args.phase == "random" else parse_phase(args.phase)
+def _run_setup(args: argparse.Namespace) -> tuple[Phase | None, KitaevConfig | EstimatorConfig]:
+    """The fixed phase (None for 'random') and the estimator config, built once per command."""
+    phi = None if args.phase == "random" else parse_phase(args.phase)
     if args.algo == "kitaev":
-        cfg = KitaevConfig(
+        cfg: KitaevConfig | EstimatorConfig = KitaevConfig(
             n=args.bits, eps=args.eps,
             trials_per_test=args.reps, exact_constants=args.exact_constants,
         )
-        result = kitaev_estimate(phi, cfg, rng)
-        ok = within_guarantee(result, phi, args.bits)
     else:
-        result = semiclassical_estimate(phi, _engine_config(args), rng)
-        ok = is_success(result, phi, args.bits)
+        cfg = _engine_config(args)
+    return phi, cfg
+
+
+def _single_run(
+    phi: Phase | None, cfg: KitaevConfig | EstimatorConfig, seed: RngSeed
+) -> tuple[Phase, EstimationResult, bool]:
+    """One estimator invocation on its own stream; returns (phase, result, success)."""
+    rng = make_generator(seed)
+    if phi is None:
+        phi = _random_phase(rng)
+    if isinstance(cfg, KitaevConfig):
+        result = kitaev_estimate(phi, cfg, rng)
+        ok = within_guarantee(result, phi, cfg.n)
+    else:
+        result = semiclassical_estimate(phi, cfg, rng)
+        ok = is_success(result, phi, cfg.n)
     return phi, result, ok
 
 
@@ -196,7 +208,7 @@ def _stage_entries(result: EstimationResult) -> list[dict[str, Any]]:
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_run_config(parser, args)
-    phi, result, ok = _single_run(args, RngSeed(args.seed))
+    phi, result, ok = _single_run(*_run_setup(args), RngSeed(args.seed))
     error = estimation_error(result, phi)
     fields = [
         ("algo", args.algo),
@@ -239,11 +251,12 @@ def cmd_montecarlo(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     _check_run_config(parser, args)
     if args.runs < 1:
         parser.error("--runs must be positive")
+    fixed_phi, cfg = _run_setup(args)
     master = RngSeed(args.seed)
     rows = []
     successes = 0
     for index in range(args.runs):
-        phi, result, ok = _single_run(args, derive_run_seed(master, index))
+        phi, result, ok = _single_run(fixed_phi, cfg, derive_run_seed(master, index))
         successes += int(ok)
         rows.append((index, _fmt(phi.value), int(ok), result.total_tests))
     rate = successes / args.runs

@@ -11,23 +11,15 @@ first and dropped from the reported result.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
 from numpy.random import Generator
 
 from .bounds import const_precision_trials, round_up_to_odd
-from .phase import (
-    GUARD_BITS,
-    BitString,
-    Phase,
-    corrected_residual,
-    double_k,
-    mod1_distance,
-    phase_from_bits,
-    post_h_prob_one,
-)
-from .sampling import majority, run_trials
+from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
+from .sampling import run_trials
 
 
 class Feedback(enum.Enum):
@@ -93,40 +85,63 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     one-probability of the residual drives ``reps`` Bernoulli trials,
     and the majority becomes bit x_i.  Guard bits are dropped from the
     reported string.
+
+    Stages run on the raw integer of phi, with one ``Phase`` per stage
+    for the log: the correction bits x_{i+1} .. x_{i+window} are kept as
+    one integer (x_{i+1} most significant), shifted in as each bit is
+    decided, and the residual is
+    ``(2**(i-1) * raw - bits * 2**(width-1-window)) mod 2**width``.
+    That is the same integer and the same probability float as
+    :func:`~qpesim.phase.double_k`, :func:`~qpesim.phase.corrected_residual`
+    and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
+    the replay tests check this engine against.
     """
+    width = phi.width
     total_stages = cfg.n + cfg.guard
-    if total_stages + cfg.window > phi.width - GUARD_BITS:
+    window = cfg.window
+    if total_stages + window > width - GUARD_BITS:
         raise ValueError(
-            f"configuration needs {total_stages + cfg.window} significant bits; "
-            f"width {phi.width} allows {phi.width - GUARD_BITS}"
+            f"configuration needs {total_stages + window} significant bits; "
+            f"width {width} allows {width - GUARD_BITS}"
         )
-    decided: dict[int, int] = {}
+    raw = phi.raw
+    span = 1 << width
+    mask = span - 1
+    shift = width - 1 - window
+    window_mask = (1 << window) - 1
+    oracle = cfg.feedback is Feedback.ORACLE
+    reps = cfg.reps
+    window_bits = 0
+    decided = 0  # x_1 .. x_{n+guard}, x_1 most significant
     log: list[StageRecord] = []
     for i in range(total_stages, 0, -1):
-        phi_i = double_k(phi, i - 1)
-        if cfg.feedback is Feedback.ORACLE:
-            prior = [phi.bit(i + offset) for offset in range(1, cfg.window + 1)]
-        else:
-            available = min(cfg.window, total_stages - i)
-            prior = [decided[i + offset] for offset in range(1, available + 1)]
-        residual = corrected_residual(phi_i, prior)
-        stats = run_trials(post_h_prob_one(residual), cfg.reps, rng)
-        bit = majority(stats)
-        decided[i] = bit
-        log.append(StageRecord(stage=i, residual=residual, trials=stats.t, ones=stats.h, bit=bit))
-    bits = BitString(tuple(decided[i] for i in range(1, cfg.n + 1)))
+        if oracle:
+            window_bits = (raw >> (width - i - window)) & window_mask
+        residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
+        stats = run_trials(math.sin(math.pi * (residual / span)) ** 2, reps, rng)
+        bit = 1 if 2 * stats.h > reps else 0
+        if window:
+            window_bits = (bit << (window - 1)) | (window_bits >> 1)
+        decided |= bit << (total_stages - i)
+        log.append(StageRecord(i, Phase(residual, width), reps, stats.h, bit))
+    value = decided >> cfg.guard
+    bits = BitString(tuple((value >> (cfg.n - j)) & 1 for j in range(1, cfg.n + 1)))
     return EstimationResult(
         bits=bits,
-        estimate=phase_from_bits(bits, phi.width),
+        estimate=Phase(value << (width - cfg.n), width),
         stage_log=tuple(log),
-        total_tests=cfg.reps * total_stages,
+        total_tests=reps * total_stages,
     )
 
 
-def full_qft_estimate(phi: Phase, n: int, rng: Generator) -> EstimationResult:
+def full_qft_config(n: int) -> EstimatorConfig:
     """Textbook QPE: every decided bit feeds corrections (window n-1), one shot per bit."""
-    cfg = EstimatorConfig(n=n, window=n - 1, reps=1, guard=0, feedback=Feedback.ESTIMATED)
-    return semiclassical_estimate(phi, cfg, rng)
+    return EstimatorConfig(n=n, window=n - 1, reps=1, guard=0, feedback=Feedback.ESTIMATED)
+
+
+def full_qft_estimate(phi: Phase, n: int, rng: Generator) -> EstimationResult:
+    """Textbook QPE run through the engine with :func:`full_qft_config`."""
+    return semiclassical_estimate(phi, full_qft_config(n), rng)
 
 
 def aqft_estimate(phi: Phase, n: int, degree: int, rng: Generator) -> EstimationResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .estimators import full_qft_estimate
+from .estimators import full_qft_config, semiclassical_estimate
 from .phase import Phase
 
 MAX_DENSE_BITS = 14
@@ -77,9 +77,10 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
         raise ValueError("empirical comparison capped at 10 bits")
     if samples < 1:
         raise ValueError("sample count must be positive")
+    cfg = full_qft_config(n)
     counts = np.zeros(1 << n)
     for _ in range(samples):
-        outcome = full_qft_estimate(phi, n, rng)
+        outcome = semiclassical_estimate(phi, cfg, rng)
         counts[outcome.bits.to_int()] += 1
     exact = qpe_distribution_exact(phi, n).probs
     return 0.5 * float(np.abs(counts / samples - exact).sum())

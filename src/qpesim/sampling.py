@@ -17,6 +17,8 @@ from numpy.random import Generator, PCG64, SeedSequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
+# Largest uniform batch one run_trials draw allocates (512 KiB of doubles).
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,10 @@ class TrialStats:
     def __post_init__(self) -> None:
         if self.t < 0 or not 0 <= self.h <= self.t:
             raise ValueError(f"invalid trial counts t={self.t}, h={self.h}")
+
+
+# The two possible outcomes of a single trial, indexed by the outcome.
+_SINGLE_TRIAL = (TrialStats(t=1, h=0), TrialStats(t=1, h=1))
 
 
 def _splitmix64(x: int) -> int:
@@ -79,14 +85,23 @@ def run_trials(p: float, m: int, rng: Generator) -> TrialStats:
 
     Consumes exactly the same uniform stream as m successive
     :func:`bernoulli` calls, so batched and one-at-a-time sampling are
-    interchangeable.
+    interchangeable.  A single trial draws one scalar; larger batches
+    draw at most ``_CHUNK`` uniforms at a time, so memory stays bounded
+    for any m.
     """
     if m < 1:
         raise ValueError("trial count must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("invalid probability")
-    draws = rng.random(m)
-    return TrialStats(t=m, h=int(np.count_nonzero(draws < p)))
+    if m == 1:
+        return _SINGLE_TRIAL[rng.random() < p]
+    h = 0
+    left = m
+    while left > _CHUNK:
+        h += int(np.count_nonzero(rng.random(_CHUNK) < p))
+        left -= _CHUNK
+    h += int(np.count_nonzero(rng.random(left) < p))
+    return TrialStats(t=m, h=h)
 
 
 def frequency_estimate(stats: TrialStats) -> float:

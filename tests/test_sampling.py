@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from qpesim.sampling import (
+    _CHUNK,
     RngSeed,
     TrialStats,
     bernoulli,
@@ -69,6 +70,20 @@ class TestRunTrials:
         g = gen(3)
         singles = sum(bernoulli(0.3, g) for _ in range(500))
         assert batched.h == singles
+
+    def test_single_trial_matches_batched_draw(self):
+        # the scalar m == 1 path reads the same uniform as rng.random(1)
+        g, ref = gen(11), gen(11)
+        for p in np.linspace(0.0, 1.0, 257):
+            assert run_trials(float(p), 1, g).h == int(np.count_nonzero(ref.random(1) < p))
+        assert g.random() == ref.random()
+
+    def test_chunked_draws_match_one_shot(self):
+        # more than two chunks: the split draws equal one rng.random(m) call
+        m = 2 * _CHUNK + 3
+        g, ref = gen(12), gen(12)
+        assert run_trials(0.37, m, g).h == int(np.count_nonzero(ref.random(m) < 0.37))
+        assert g.random() == ref.random()
 
     def test_binomial_distribution_chi_square(self):
         # goodness of fit over 1e4 replications at (p=0.85, m=13)
