@@ -61,6 +61,13 @@ def kitaev_accuracy_threshold() -> float:
     return (2.0 - math.sqrt(2.0)) / 4.0
 
 
+def finite_ceil(budget: float) -> int:
+    """Ceiling of a trial budget; a failure budget so small that it overflows is rejected."""
+    if not math.isfinite(budget):
+        raise ValueError("failure budget too small: the trial count overflows")
+    return math.ceil(budget)
+
+
 def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -> int:
     """Hadamard tests per bit for the two-basis estimator at failure budget eps."""
     if not 0.0 < eps < 1.0:
@@ -70,7 +77,7 @@ def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -
     else:
         delta = kitaev_accuracy_threshold()
         coeff = 2.0 / (2.0 * delta * delta)
-    return math.ceil(coeff * math.log(4.0 / eps))
+    return finite_ceil(coeff * math.log(4.0 / eps))
 
 
 def kitaev_total_budget(
@@ -92,7 +99,7 @@ def const_precision_success_per_test(degree: int) -> float:
     """Per-test success floor cos^2(pi / 2**degree) with a degree-m correction window."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    return math.cos(math.pi / (1 << degree)) ** 2
+    return math.cos(math.ldexp(math.pi, -degree)) ** 2
 
 
 def const_precision_trials(eps: float, degree: int) -> int:
@@ -112,7 +119,7 @@ def const_precision_trials(eps: float, degree: int) -> int:
     else:
         margin = const_precision_success_per_test(degree) - 0.5
         coeff = 1.0 / (2.0 * margin * margin)
-    return math.ceil(coeff * math.log(1.0 / eps))
+    return finite_ceil(coeff * math.log(1.0 / eps))
 
 
 def round_up_to_odd(m: int) -> int:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from numpy.random import Generator
 
-from .bounds import kitaev_accuracy_threshold
+from .bounds import finite_ceil, kitaev_accuracy_threshold
 from .estimators import EstimationResult
 from .phase import (
     DEFAULT_WIDTH,
@@ -80,7 +80,7 @@ def trials_per_basis(cfg: KitaevConfig) -> int:
         coeff = 1.0 / (2.0 * delta * delta)
     else:
         coeff = 47.0 / 2.0
-    return math.ceil(coeff * math.log(4.0 * cfg.n / cfg.eps))
+    return finite_ceil(coeff * math.log(4.0 * cfg.n / cfg.eps))
 
 
 def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:

@@ -121,6 +121,19 @@ class TestConstPrecisionBudget:
             assert math.exp(-2 * r * margin * margin) <= eps
 
 
+    def test_huge_degree_does_not_overflow(self):
+        # the scaled angle is bit-identical to pi / 2**degree where that is defined
+        for degree in range(2, 64):
+            assert const_precision_success_per_test(degree) == math.cos(math.pi / (1 << degree)) ** 2
+        assert const_precision_success_per_test(2000) == 1.0
+        assert const_precision_trials(0.05, 2000) == math.ceil(2.0 * math.log(20.0))
+
+    def test_overflowing_budget_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            const_precision_trials(1e-320, 3)
+        with pytest.raises(ValueError, match="too small"):
+            kitaev_trials_per_bit(1e-320)
+
 class TestLowerBounds:
     def test_full_qft_value(self):
         assert qft_lower_bound() == pytest.approx(0.8105694691, abs=1e-9)

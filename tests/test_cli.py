@@ -117,6 +117,24 @@ class TestUsageErrors:
         assert "error" in proc.stderr
 
 
+class TestExtremeBudgets:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("estimate", "--algo", "const", "--bits", "4", "--degree", "2000", "--phase", "0.5"),
+            ("estimate", "--algo", "kitaev", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
+            ("estimate", "--algo", "const", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
+            ("compare", "--eps-list", "1e-320"),
+        ],
+        ids=["const-degree-2000", "kitaev-eps-1e-320", "const-eps-1e-320", "compare-eps-1e-320"],
+    )
+    def test_error_line_not_traceback(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "qpesim: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestTable:
     def test_default_rows(self):
         proc = run_cli("table", "--format", "csv")

@@ -220,6 +220,10 @@ class TestKitaevEstimate:
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, exact_constants=True)) == 151
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, trials_per_test=9)) == 9
 
+    def test_overflowing_budget_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            trials_per_basis(KitaevConfig(n=8, eps=1e-320))
+
     def test_total_test_accounting(self):
         result = kitaev_estimate(parse_phase("0.101b"), KitaevConfig(n=3, eps=0.3), gen(4))
         assert len(result.bits) == 5
