@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qpesim.estimators import EstimationResult
 from qpesim.kitaev import (
     KitaevConfig,
+    StageEstimate,
     arctan_phase,
     estimate_stage,
     kitaev_estimate,
@@ -17,15 +21,19 @@ from qpesim.kitaev import (
     within_guarantee,
 )
 from qpesim.phase import (
+    GUARD_BITS,
     BitString,
     Phase,
     double_k,
+    hadamard_probs,
     mod1_distance,
     parse_phase,
     phase_from_bits,
     phase_from_float,
+    phase_from_fraction,
 )
-from qpesim.sampling import RngSeed, make_generator
+from qpesim.phase import TestBasis as Basis
+from qpesim.sampling import RngSeed, frequency_estimate, make_generator, run_trials
 
 
 def gen(master=0, stream=0):
@@ -257,3 +265,72 @@ class TestKitaevEstimate:
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, trials_per_test=2000), gen(6))
         err = mod1_distance(phase_from_bits(result.bits), phi)
         assert within_guarantee(result, phi, 3) == (err < 2.0**-5)
+
+
+def reference_kitaev(phi: Phase, cfg: KitaevConfig, rng, exact: bool) -> EstimationResult:
+    """The estimator written out from the public primitives, one Phase per step."""
+    m1 = trials_per_basis(cfg)
+    stages = []
+    for k in range(1, cfg.n + 1):
+        phi_k = double_k(phi, k - 1)
+        _, p1_cos = hadamard_probs(phi_k, Basis.COSINE)
+        _, p1_sin = hadamard_probs(phi_k, Basis.SINE)
+        if exact:
+            freq_cos, freq_sin = p1_cos, p1_sin
+        else:
+            freq_cos = frequency_estimate(run_trials(p1_cos, m1, rng))
+            freq_sin = frequency_estimate(run_trials(p1_sin, m1, rng))
+        cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * freq_cos))
+        sin_estimate = min(1.0, max(-1.0, 2.0 * freq_sin - 1.0))
+        if sin_estimate == 0.0 and cos_estimate == 0.0:
+            raise ValueError("indeterminate angle")
+        turns = (math.atan2(sin_estimate, cos_estimate) / (2.0 * math.pi)) % 1.0
+        if turns >= 1.0:
+            turns = 0.0
+        phi_tilde = phase_from_fraction(Fraction(turns), phi.width)
+        distances = [
+            mod1_distance(phi_tilde, Phase(j << (phi.width - 3), phi.width)) for j in range(8)
+        ]
+        beta = distances.index(min(distances))  # the first minimum: ties go to the lower index
+        stages.append(StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, beta))
+    bits, warnings = stitch_bits([s.beta for s in stages])
+    return EstimationResult(
+        bits=bits,
+        estimate=phase_from_bits(bits, phi.width),
+        stage_log=tuple(stages),
+        total_tests=2 * m1 * cfg.n,
+        warnings=warnings,
+    )
+
+
+def _outcome(estimator, phi, cfg, rng, exact):
+    """The estimator's result, or the message of the ValueError it raised."""
+    try:
+        return estimator(phi, cfg, rng, exact)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+KITAEV_REPLAY_SEEDS = 200
+
+
+class TestKitaevReplay:
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("narrow", [False, True], ids=["width64", "narrow"])
+    @pytest.mark.parametrize("m1", [1, 2, 169])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_engine_replays_reference(self, n, m1, narrow, exact):
+        # the narrow width is the smallest the configuration allows
+        width = n + 2 + GUARD_BITS if narrow else 64
+        cfg = KitaevConfig(n=n, eps=0.05, trials_per_test=m1, width=width)
+        for seed in range(KITAEV_REPLAY_SEEDS):
+            raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
+            if seed % 4 == 0:
+                # a phase on the n-bit grid puts every stage on a multiple of 1/2**n
+                raw &= ~((1 << (width - n)) - 1)
+            phi = Phase(raw, width)
+            engine_rng, reference_rng = gen(seed), gen(seed)
+            engine = _outcome(kitaev_estimate, phi, cfg, engine_rng, exact)
+            reference = _outcome(reference_kitaev, phi, cfg, reference_rng, exact)
+            assert engine == reference, f"seed {seed}, phi {phi}"
+            assert engine_rng.random() == reference_rng.random()
