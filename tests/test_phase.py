@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpesim.phase import (
@@ -98,6 +98,42 @@ class TestParsing:
 
     def test_float_round_trip(self):
         assert phase_from_float(0.625, 3).raw == 5
+
+
+SUBNORMAL_MAX = math.nextafter(2.0**-1022, 0.0)
+
+
+class TestFromFloat:
+    @given(
+        st.one_of(
+            st.floats(0, 1, exclude_max=True),
+            st.floats(0, SUBNORMAL_MAX),
+            st.floats(0, 2.0**-1000),
+        ),
+        st.integers(min_value=1, max_value=1100),
+    )
+    @example(math.nextafter(1.0, 0.0), 53)
+    @example(math.nextafter(1.0, 0.0), 52)
+    @example(5e-324, 1074)
+    @example(5e-324, 1075)
+    @example(5e-324, 1100)
+    @example(SUBNORMAL_MAX, 1)
+    @example(0.0, 1)
+    @example(-0.0, 64)
+    def test_matches_exact_rational_rounding(self, value, width):
+        assert phase_from_float(value, width) == phase_from_fraction(Fraction(value), width)
+
+    def test_ties_round_to_even(self):
+        assert phase_from_float(2.0**-65, 64).raw == 0
+        assert phase_from_float(3 * 2.0**-65, 64).raw == 2
+
+    def test_near_one_wraps(self):
+        assert phase_from_float(math.nextafter(1.0, 0.0), 8).raw == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.0])
+    def test_rejects_values_outside_unit_interval(self, value):
+        with pytest.raises(ValueError):
+            phase_from_float(value)
 
 
 class TestDoubleK:
