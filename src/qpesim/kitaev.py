@@ -7,6 +7,14 @@ Back-substitution over the snapped values stitches an (n+2)-bit
 estimate whose error is below 2**-(n+2) whenever every snap landed
 within 1/8 of the true stage phase.
 
+A stage runs on the raw phase integer: its angle and outcome
+probabilities are the same floats that ``double_k`` and
+``hadamard_probs`` compute, the arctangent is rounded to the phase grid
+exactly (``phase_from_float``, equal to ``phase_from_fraction``), and
+the eight candidate eighths of the snap are built once per width.
+Those primitives are the reference that ``TestKitaevReplay`` checks the
+estimator against, bit for bit and draw for draw.
+
 Trial budgets come from a Chernoff inversion and are deliberately
 conservative.  Once a battery has seen at least ten outcomes of each
 kind, its binomial statistics admit a normal approximation that would
@@ -29,9 +37,6 @@ from .phase import (
     GUARD_BITS,
     BitString,
     Phase,
-    TestBasis,
-    double_k,
-    hadamard_probs,
     mod1_distance,
     phase_from_bits,
     phase_from_float,
@@ -97,12 +102,28 @@ def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:
     return phase_from_float(turns, width)
 
 
+_EIGHTHS: dict[int, tuple[Phase, ...]] = {}
+
+
+def _eighths(width: int) -> tuple[Phase, ...]:
+    """The eight phases j/8 at the given width, built once per width."""
+    eighths = _EIGHTHS.get(width)
+    if eighths is None:
+        eighths = _EIGHTHS[width] = tuple(Phase(j << (width - 3), width) for j in range(8))
+    return eighths
+
+
 def snap_beta(phi_tilde: Phase) -> int:
-    """Index j of the closest eighth j/8 (mod 1); ties go to the lower index."""
+    """Index j of the closest eighth j/8 (mod 1); ties go to the lower index.
+
+    The candidates are cached per width; each is still compared through
+    ``mod1_distance``.
+    """
+    eighths = _eighths(phi_tilde.width)
     best_j = 0
-    best_d = mod1_distance(phi_tilde, Phase(0, phi_tilde.width))
+    best_d = mod1_distance(phi_tilde, eighths[0])
     for j in range(1, 8):
-        d = mod1_distance(phi_tilde, Phase(j << (phi_tilde.width - 3), phi_tilde.width))
+        d = mod1_distance(phi_tilde, eighths[j])
         if d < best_d:
             best_j, best_d = j, d
     return best_j
@@ -113,14 +134,18 @@ def estimate_stage(
 ) -> StageEstimate:
     """Estimate stage k from m1 COSINE plus m1 SINE Hadamard tests.
 
+    The stage phase 2**(k-1) * phi is the raw integer shifted modulo
+    2**width; its angle and the two outcome-1 probabilities are the
+    floats that ``double_k`` followed by ``hadamard_probs`` give.
     ``exact`` replaces sampling by the exact outcome probabilities (the
     noiseless oracle used to validate the reconstruction pipeline).
     """
     if k < 1:
         raise ValueError("stage index must be positive")
-    phi_k = double_k(phi, k - 1)
-    _, p1_cos = hadamard_probs(phi_k, TestBasis.COSINE)
-    _, p1_sin = hadamard_probs(phi_k, TestBasis.SINE)
+    width = phi.width
+    angle = 2.0 * math.pi * (((phi.raw << (k - 1)) & ((1 << width) - 1)) / (1 << width))
+    p1_cos = (1.0 - math.cos(angle)) / 2.0
+    p1_sin = (1.0 + math.sin(angle)) / 2.0
     if exact:
         freq_cos = p1_cos
         freq_sin = p1_sin
@@ -131,7 +156,7 @@ def estimate_stage(
     # onto the valid range (a no-op for frequencies, kept for safety).
     cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * freq_cos))
     sin_estimate = min(1.0, max(-1.0, 2.0 * freq_sin - 1.0))
-    phi_tilde = arctan_phase(sin_estimate, cos_estimate, phi.width)
+    phi_tilde = arctan_phase(sin_estimate, cos_estimate, width)
     return StageEstimate(
         k=k,
         sin_estimate=sin_estimate,
