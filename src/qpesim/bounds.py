@@ -61,11 +61,22 @@ def kitaev_accuracy_threshold() -> float:
     return (2.0 - math.sqrt(2.0)) / 4.0
 
 
+_BUDGET_TOO_SMALL = "failure budget too small: the trial count overflows"
+
+
 def finite_ceil(budget: float) -> int:
     """Ceiling of a trial budget; a failure budget so small that it overflows is rejected."""
     if not math.isfinite(budget):
-        raise ValueError("failure budget too small: the trial count overflows")
+        raise ValueError(_BUDGET_TOO_SMALL)
     return math.ceil(budget)
+
+
+def per_bit_budget(eps: float, n: int) -> float:
+    """The failure budget eps/n of each of n bits; a share that underflows to 0 is rejected."""
+    budget = eps / n
+    if budget == 0.0 and eps > 0.0:
+        raise ValueError(_BUDGET_TOO_SMALL)
+    return budget
 
 
 def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -> int:

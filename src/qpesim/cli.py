@@ -22,6 +22,7 @@ from .bounds import (
     BudgetMode,
     const_precision_trials,
     kitaev_trials_per_bit,
+    per_bit_budget,
     qft_lower_bound,
     round_up_to_odd,
     trials_table,
@@ -138,7 +139,9 @@ def _engine_config(args: argparse.Namespace) -> EstimatorConfig:
         if args.degree < 3:
             raise ValueError("degree too small for majority margin")
         window = args.degree - 1
-        default_reps = round_up_to_odd(const_precision_trials(args.eps / n, args.degree))
+        default_reps = round_up_to_odd(
+            const_precision_trials(per_bit_budget(args.eps, n), args.degree)
+        )
         default_guard = 2
     reps = default_reps if args.reps is None else round_up_to_odd(args.reps)
     guard = default_guard if args.guard is None else args.guard

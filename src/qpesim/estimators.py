@@ -17,7 +17,7 @@ from typing import Any
 
 from numpy.random import Generator
 
-from .bounds import const_precision_trials, round_up_to_odd
+from .bounds import const_precision_trials, per_bit_budget, round_up_to_odd
 from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
 from .sampling import run_trials
 
@@ -173,7 +173,7 @@ def constant_precision_estimate(
     if not 0.0 < eps < 1.0:
         raise ValueError("failure budget must lie in (0, 1)")
     if reps is None:
-        reps = round_up_to_odd(const_precision_trials(eps / n, degree))
+        reps = round_up_to_odd(const_precision_trials(per_bit_budget(eps, n), degree))
     cfg = EstimatorConfig(
         n=n,
         window=degree - 1,

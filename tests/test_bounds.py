@@ -18,6 +18,7 @@ from qpesim.bounds import (
     kitaev_accuracy_threshold,
     kitaev_total_budget,
     kitaev_trials_per_bit,
+    per_bit_budget,
     qft_lower_bound,
     round_up_to_odd,
     trial_ratio,
@@ -133,6 +134,13 @@ class TestConstPrecisionBudget:
             const_precision_trials(1e-320, 3)
         with pytest.raises(ValueError, match="too small"):
             kitaev_trials_per_bit(1e-320)
+
+    def test_per_bit_budget(self):
+        assert per_bit_budget(0.05, 4) == 0.0125
+        # an out-of-range eps is left to the budget functions to name
+        assert per_bit_budget(0.0, 4) == 0.0
+        with pytest.raises(ValueError, match="too small"):
+            per_bit_budget(5e-324, 4)
 
 class TestLowerBounds:
     def test_full_qft_value(self):

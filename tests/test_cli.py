@@ -134,6 +134,13 @@ class TestExtremeBudgets:
         assert "qpesim: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_underflowing_per_bit_budget_named(self):
+        # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
+        proc = run_cli("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5")
+        assert proc.returncode == 1
+        assert "failure budget too small: the trial count overflows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTable:
     def test_default_rows(self):

@@ -159,6 +159,10 @@ class TestWrappers:
         with pytest.raises(ValueError, match="degree too small"):
             constant_precision_estimate(parse_phase("0.1"), 4, 2, 0.05, gen())
 
+    def test_constant_precision_rejects_underflowing_per_bit_budget(self):
+        with pytest.raises(ValueError, match="too small"):
+            constant_precision_estimate(parse_phase("0.5"), 4, 3, 5e-324, gen())
+
     def test_exact_phase_still_samples(self):
         # degenerate probabilities make the outcome certain, not skipped
         phi = parse_phase("0.101b")
