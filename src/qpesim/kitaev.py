@@ -24,6 +24,7 @@ and does not implement that refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,22 +103,17 @@ def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:
     return phase_from_float(turns, width)
 
 
-_EIGHTHS: dict[int, tuple[Phase, ...]] = {}
-
-
+@functools.cache
 def _eighths(width: int) -> tuple[Phase, ...]:
     """The eight phases j/8 at the given width, built once per width."""
-    eighths = _EIGHTHS.get(width)
-    if eighths is None:
-        eighths = _EIGHTHS[width] = tuple(Phase(j << (width - 3), width) for j in range(8))
-    return eighths
+    return tuple(Phase(j << (width - 3), width) for j in range(8))
 
 
 def snap_beta(phi_tilde: Phase) -> int:
     """Index j of the closest eighth j/8 (mod 1); ties go to the lower index.
 
-    The candidates are cached per width; each is still compared through
-    ``mod1_distance``.
+    The candidates are built once per width; all eight comparisons go
+    through ``mod1_distance``.
     """
     eighths = _eighths(phi_tilde.width)
     best_j = 0
