@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
+
+from qpesim.cli import main
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -220,6 +223,43 @@ class TestMonteCarlo:
         rows = csv_rows(proc.stdout)[1:]
         assert all(row[1] == "0.625" for row in rows)
         assert all(row[2] == "1" for row in rows)
+
+
+# sha256 of the stdout of montecarlo --bits 8 --phase 0.703125 --runs 300
+# --seed 7 with the extra arguments and format below, recorded before the
+# semiclassical engine reused stage objects across runs on the same phase.
+FIXED_PHASE_GOLDEN = {
+    ("qft", "table"): "9cbc04574114e23d52ce5129d97d7ebf18d8c6d6d1fb840b3181b779bc2fb9f9",
+    ("qft", "json"): "1b11b9088cc26847a3c28fdc0f194c5edf05b4e5c97c78bb38cedd9ff64ee92c",
+    ("aqft --degree 3", "table"): "ffa9094de233af6eff0f8fdf6ce61650fb8ede191342b1e205095682bcbaf30f",
+    ("aqft --degree 3", "json"): "af5bb8a15f0b51dcf8f1a86f2942d361b596ecb390b9e2673ea1c7672da3d075",
+    ("const", "table"): "f8048e4b229843c7e96c74172512171f98f1e0ea467ab9009169996836f2c3b9",
+    ("const", "json"): "d70d63c26becc9e56f19935dbc0fbce9f20c1c2c898e73cbe7bfbf421a23062b",
+    ("const --feedback oracle --guard 3", "table"):
+        "588d92c8955475756c853dc83656de299f04c5963c0a30899d780b8eec694c6a",
+    ("const --feedback oracle --guard 3", "json"):
+        "0214b2487749c328a286fa85daf73833e67cccf4dfb76d06ae01e7346b560616",
+}
+
+
+class TestFixedPhaseGolden:
+    """Fixed-phase campaigns, where runs revisit the engine states earlier runs reached.
+
+    Run in process through ``main`` (the bytes match a subprocess run) to
+    keep the suite fast.
+    """
+
+    @pytest.mark.parametrize(
+        "algo,fmt", [pytest.param(*key, id=" ".join(key)) for key in FIXED_PHASE_GOLDEN]
+    )
+    def test_output_matches_golden(self, algo, fmt, capsys):
+        argv = [
+            "montecarlo", "--bits", "8", "--phase", "0.703125", "--runs", "300",
+            "--seed", "7", "--format", fmt, "--algo", *algo.split(),
+        ]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == FIXED_PHASE_GOLDEN[algo, fmt]
 
 
 class TestValidate:

@@ -265,3 +265,54 @@ class TestReplayAgainstPrimitives:
                 phi, cfg, reference_rng
             ), f"seed {seed}, phi {phi}"
             assert engine_rng.random() == reference_rng.random()
+
+
+def _fixed_phases(width: int, stages: int) -> tuple[Phase, Phase]:
+    """One phase on the stage grid and one off it, fixed for every run of a case."""
+    raw = int(gen(2**32 + width, stages).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
+    low = (1 << (width - stages)) - 1
+    return Phase(raw & ~low, width), Phase(raw | 1 | (1 << (width - stages - 1)), width)
+
+
+def _assert_campaign_replays(phi: Phase, cfg: EstimatorConfig, seed: int, runs: int) -> None:
+    """``runs`` runs on one shared stream, as ``validate`` makes them."""
+    engine_rng, reference_rng = gen(seed), gen(seed)
+    for run in range(runs):
+        assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+            phi, cfg, reference_rng
+        ), f"run {run}, phi {phi}, cfg {cfg}"
+    assert engine_rng.random() == reference_rng.random()
+
+
+class TestFixedPhaseReplay:
+    """Many runs on one phase: every run after the first revisits states earlier runs reached."""
+
+    @pytest.mark.parametrize("feedback", list(Feedback), ids=lambda f: f.value)
+    @pytest.mark.parametrize("narrow", [False, True], ids=["width64", "narrow"])
+    @pytest.mark.parametrize(
+        "n,window,reps,guard", _replay_cases(), ids=lambda v: str(v)
+    )
+    def test_fixed_phase_replays_reference(self, n, window, reps, guard, narrow, feedback):
+        width = n + guard + window + 4 if narrow else 64
+        cfg = EstimatorConfig(n=n, window=window, reps=reps, guard=guard, feedback=feedback)
+        for phi in _fixed_phases(width, n + guard):
+            _assert_campaign_replays(phi, cfg, n, REPLAY_SEEDS)
+
+    def test_more_keys_than_the_memo_holds(self):
+        # 12 (phase, config) keys visited round robin, so each key comes back
+        # after eleven others
+        keys = []
+        for k in range(6):
+            phi = Phase(((2 * k + 1) << 58) + 12345, 64)
+            keys.append((phi, EstimatorConfig(n=5, window=4)))
+            keys.append((phi, EstimatorConfig(n=5, window=2, reps=3, guard=2)))
+        for seed in range(40):
+            for phi, cfg in keys:
+                _assert_campaign_replays(phi, cfg, seed, 1)
+
+    def test_long_full_qft_campaign(self):
+        # full QFT at 14 bits off the grid decides its low bits at random:
+        # 600 runs reach about 500 distinct stage states and outcomes
+        phi = Phase(0x5DEECE66D2B7A3F1, 64)
+        cfg = EstimatorConfig(n=14, window=13)
+        _assert_campaign_replays(phi, cfg, 0, 600)
