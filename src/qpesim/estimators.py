@@ -6,11 +6,20 @@ applies inverse phase corrections controlled by the most recent
 ``window`` decided bits, measures after a Hadamard, and majority-votes
 ``reps`` repetitions.  Guard stages are extra low-order bits estimated
 first and dropped from the reported result.
+
+On a fixed eigenphase the engine has few distinct states: stage i sees
+only its last ``window`` decided bits.  So runs on the same
+``(phi.raw, phi.width, cfg)`` share the immutable objects an earlier run
+on that key built: each stage's success probability, residual ``Phase``
+and ``StageRecord`` per vote count, and each outcome's ``BitString`` and
+estimate ``Phase``.  Every run still draws its own trials, in the same
+order, from its own generator.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -20,6 +29,12 @@ from numpy.random import Generator
 from .bounds import const_precision_trials, per_bit_budget, round_up_to_odd
 from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
 from .sampling import run_trials
+
+
+# Stage-tree memo bounds: trees kept (least recently used evicted) and
+# objects stored per tree, past which a run builds without storing.
+_MEMO_TREES = 8
+_MEMO_ENTRIES = 1 << 12
 
 
 class Feedback(enum.Enum):
@@ -76,6 +91,30 @@ class EstimationResult:
     warnings: tuple[str, ...] = ()
 
 
+class _StageTree:
+    """Objects already built for runs on one (raw, width, cfg) key.
+
+    ``levels[i]`` maps the window bits that enter stage i to the node
+    ``(probability, residual Phase, {ones: StageRecord})``; ``leaves``
+    maps the reported integer to ``(BitString, estimate Phase)``.
+    ``room`` counts the nodes, records and leaves that may still be stored.
+    """
+
+    __slots__ = ("levels", "leaves", "room")
+
+    def __init__(self, stages: int) -> None:
+        self.levels: list[dict[int, tuple[float, Phase, dict[int, StageRecord]]]] = [
+            {} for _ in range(stages + 1)
+        ]
+        self.leaves: dict[int, tuple[BitString, Phase]] = {}
+        self.room = _MEMO_ENTRIES
+
+
+@functools.lru_cache(maxsize=_MEMO_TREES)
+def _stage_tree(raw: int, width: int, cfg: EstimatorConfig) -> _StageTree:
+    return _StageTree(cfg.n + cfg.guard)
+
+
 def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> EstimationResult:
     """Run the measurement-feedback engine against the eigenphase ``phi``.
 
@@ -86,15 +125,25 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     and the majority becomes bit x_i.  Guard bits are dropped from the
     reported string.
 
-    Stages run on the raw integer of phi, with one ``Phase`` per stage
-    for the log: the correction bits x_{i+1} .. x_{i+window} are kept as
-    one integer (x_{i+1} most significant), shifted in as each bit is
-    decided, and the residual is
+    Stages run on the raw integer of phi: the correction bits
+    x_{i+1} .. x_{i+window} are kept as one integer (x_{i+1} most
+    significant), shifted in as each bit is decided, and the residual is
     ``(2**(i-1) * raw - bits * 2**(width-1-window)) mod 2**width``.
     That is the same integer and the same probability float as
     :func:`~qpesim.phase.double_k`, :func:`~qpesim.phase.corrected_residual`
     and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
     the replay tests check this engine against.
+
+    The objects a run builds are memoised per ``(phi.raw, phi.width,
+    cfg)`` key: per (stage, window bits) the probability and residual
+    ``Phase``, per vote count the ``StageRecord``, and per reported
+    integer the ``BitString`` and estimate ``Phase``.  The memo keeps the
+    8 most recently used keys and at most 2**12 objects per key; past
+    that a run builds what it needs without storing it.  Sharing is safe
+    because every memoised object is frozen and a function of the key
+    and the stage state alone; the generator is never touched, since
+    each stage still calls :func:`~qpesim.sampling.run_trials` once, in
+    order, on the run's own ``rng``.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
@@ -105,6 +154,8 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
             f"width {width} allows {width - GUARD_BITS}"
         )
     raw = phi.raw
+    tree = _stage_tree(raw, width, cfg)
+    levels = tree.levels
     span = 1 << width
     mask = span - 1
     shift = width - 1 - window
@@ -117,18 +168,39 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     for i in range(total_stages, 0, -1):
         if oracle:
             window_bits = (raw >> (width - i - window)) & window_mask
-        residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
-        stats = run_trials(math.sin(math.pi * (residual / span)) ** 2, reps, rng)
-        bit = 1 if 2 * stats.h > reps else 0
+        node = levels[i].get(window_bits)
+        if node is None:
+            residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
+            node = (math.sin(math.pi * (residual / span)) ** 2, Phase(residual, width), {})
+            if tree.room:
+                tree.room -= 1
+                levels[i][window_bits] = node
+        p, residual_phase, records = node
+        h = run_trials(p, reps, rng).h
+        record = records.get(h)
+        if record is None:
+            record = StageRecord(i, residual_phase, reps, h, 1 if 2 * h > reps else 0)
+            if tree.room:
+                tree.room -= 1
+                records[h] = record
+        bit = record.bit
         if window:
             window_bits = (bit << (window - 1)) | (window_bits >> 1)
         decided |= bit << (total_stages - i)
-        log.append(StageRecord(i, Phase(residual, width), reps, stats.h, bit))
+        log.append(record)
     value = decided >> cfg.guard
-    bits = BitString(tuple((value >> (cfg.n - j)) & 1 for j in range(1, cfg.n + 1)))
+    leaf = tree.leaves.get(value)
+    if leaf is None:
+        leaf = (
+            BitString(tuple((value >> (cfg.n - j)) & 1 for j in range(1, cfg.n + 1))),
+            Phase(value << (width - cfg.n), width),
+        )
+        if tree.room:
+            tree.room -= 1
+            tree.leaves[value] = leaf
     return EstimationResult(
-        bits=bits,
-        estimate=Phase(value << (width - cfg.n), width),
+        bits=leaf[0],
+        estimate=leaf[1],
         stage_log=tuple(log),
         total_tests=reps * total_stages,
     )

@@ -10,6 +10,7 @@ generator; they each get a stream derived with :func:`derive_run_seed`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
 # Largest uniform batch one run_trials draw allocates (512 KiB of doubles).
 _CHUNK = 1 << 16
+# Distinct (m, h) counts run_trials keeps one shared TrialStats for.
+_INTERNED_STATS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,11 @@ class TrialStats:
 
 # The two possible outcomes of a single trial, indexed by the outcome.
 _SINGLE_TRIAL = (TrialStats(t=1, h=0), TrialStats(t=1, h=1))
+
+
+@functools.lru_cache(maxsize=_INTERNED_STATS)
+def _trial_stats(m: int, h: int) -> TrialStats:
+    return TrialStats(t=m, h=h)
 
 
 def _splitmix64(x: int) -> int:
@@ -87,7 +95,9 @@ def run_trials(p: float, m: int, rng: Generator) -> TrialStats:
     :func:`bernoulli` calls, so batched and one-at-a-time sampling are
     interchangeable.  A single trial draws one scalar; larger batches
     draw at most ``_CHUNK`` uniforms at a time, so memory stays bounded
-    for any m.
+    for any m.  The result is a shared, frozen ``TrialStats``: one of two
+    for m == 1, and from a cache of the 1024 most recent (m, h) pairs
+    otherwise.
     """
     if m < 1:
         raise ValueError("trial count must be positive")
@@ -101,7 +111,7 @@ def run_trials(p: float, m: int, rng: Generator) -> TrialStats:
         h += int(np.count_nonzero(rng.random(_CHUNK) < p))
         left -= _CHUNK
     h += int(np.count_nonzero(rng.random(left) < p))
-    return TrialStats(t=m, h=h)
+    return _trial_stats(m, h)
 
 
 def frequency_estimate(stats: TrialStats) -> float:

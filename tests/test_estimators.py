@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qpesim import estimators
 from qpesim.estimators import (
     EstimationResult,
     EstimatorConfig,
@@ -316,3 +317,28 @@ class TestFixedPhaseReplay:
         phi = Phase(0x5DEECE66D2B7A3F1, 64)
         cfg = EstimatorConfig(n=14, window=13)
         _assert_campaign_replays(phi, cfg, 0, 600)
+
+
+class TestStageMemo:
+    def test_runs_on_one_key_share_objects(self):
+        phi = parse_phase("0.101b")
+        first = full_qft_estimate(phi, 3, gen(0))
+        second = full_qft_estimate(phi, 3, gen(1))
+        assert first.bits is second.bits and first.estimate is second.estimate
+        assert all(a is b for a, b in zip(first.stage_log, second.stage_log))
+
+    def test_campaign_past_the_entry_cap(self, monkeypatch):
+        # with room for 64 objects the tree fills within the first runs;
+        # later runs build what it lacks without storing it
+        monkeypatch.setattr(estimators, "_MEMO_ENTRIES", 64)
+        estimators._stage_tree.cache_clear()
+        phi = Phase(0x5DEECE66D2B7A3F1, 64)
+        cfg = EstimatorConfig(n=14, window=13)
+        try:
+            _assert_campaign_replays(phi, cfg, 1, 300)
+            tree = estimators._stage_tree(phi.raw, phi.width, cfg)
+            nodes = [node for level in tree.levels for node in level.values()]
+            assert tree.room == 0
+            assert len(nodes) + sum(len(node[2]) for node in nodes) + len(tree.leaves) == 64
+        finally:
+            estimators._stage_tree.cache_clear()

@@ -64,6 +64,10 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(0.5, 0, gen())
 
+    def test_equal_counts_share_one_result(self):
+        assert run_trials(1.0, 7, gen(1)) is run_trials(1.0, 7, gen(2))
+        assert run_trials(0.0, 1, gen(1)) is run_trials(0.0, 1, gen(2))
+
     def test_matches_single_draws(self):
         # batched sampling must consume the identical uniform stream
         batched = run_trials(0.3, 500, gen(3))
