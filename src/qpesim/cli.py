@@ -160,7 +160,8 @@ def _run_setup(args: argparse.Namespace) -> tuple[Phase | None, KitaevConfig | E
     if args.algo == "kitaev":
         cfg: KitaevConfig | EstimatorConfig = KitaevConfig(
             n=args.bits, eps=args.eps,
-            trials_per_test=args.reps, exact_constants=args.exact_constants,
+            trials_per_test=None if args.reps is None else round_up_to_odd(args.reps),
+            exact_constants=args.exact_constants,
         )
     else:
         cfg = _engine_config(args)

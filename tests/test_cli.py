@@ -215,6 +215,15 @@ class TestMonteCarlo:
         rate = sum(int(row[2]) for row in rows) / len(rows)
         assert rate >= 0.79  # well above the 8/pi^2 worst case minus noise
 
+    def test_kitaev_even_reps_round_up(self):
+        # two trials per basis can read exactly one half in both bases, an
+        # indeterminate angle; --reps rounds up to odd as for the other algos
+        args = ("montecarlo", "--algo", "kitaev", "--bits", "8", "--runs", "50", "--seed", "0")
+        even = run_cli(*args, "--reps", "2")
+        assert even.returncode == 0, even.stderr
+        assert len(even.stdout.splitlines()) == 50 + 2
+        assert even.stdout == run_cli(*args, "--reps", "3").stdout
+
     def test_fixed_phase_runs(self):
         proc = run_cli(
             "montecarlo", "--algo", "kitaev", "--bits", "3", "--runs", "5",
