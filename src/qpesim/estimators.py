@@ -9,11 +9,12 @@ first and dropped from the reported result.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So runs on the same
-``(phi.raw, phi.width, cfg)`` share the immutable objects an earlier run
-on that key built: each stage's success probability, residual ``Phase``
-and ``StageRecord`` per vote count, and each outcome's ``BitString`` and
-estimate ``Phase``.  Every run still draws its own trials, in the same
-order, from its own generator.
+``(phi.raw, phi.width, cfg)`` share the frozen objects an earlier run on
+that key built: each stage's outcome-one probability and residual
+``Phase``, its ``StageRecord`` per vote count, and each outcome's
+``BitString`` and estimate ``Phase`` (the 8 most recent keys, at most
+2**12 objects each).  Every run still draws its own trials, in the same
+order, from its own generator, so sharing changes no bit.
 """
 
 from __future__ import annotations
@@ -168,13 +169,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     for i in range(total_stages, 0, -1):
         if oracle:
             window_bits = (raw >> (width - i - window)) & window_mask
-        node = levels[i].get(window_bits)
+        level = levels[i]
+        node = level.get(window_bits)
         if node is None:
             residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
             node = (math.sin(math.pi * (residual / span)) ** 2, Phase(residual, width), {})
             if tree.room:
                 tree.room -= 1
-                levels[i][window_bits] = node
+                level[window_bits] = node
         p, residual_phase, records = node
         h = run_trials(p, reps, rng).h
         record = records.get(h)
