@@ -95,25 +95,27 @@ class EstimationResult:
 class _StageTree:
     """Objects already built for runs on one (raw, width, cfg) key.
 
-    ``levels[i]`` maps the window bits that enter stage i to the node
-    ``(probability, residual Phase, {ones: StageRecord})``; ``leaves``
-    maps the reported integer to ``(BitString, estimate Phase)``.
-    ``room`` counts the nodes, records and leaves that may still be stored.
+    ``nodes`` maps a stage i and the window bits entering it, packed as
+    ``i << window | window_bits``, to ``(probability, residual Phase,
+    {ones: StageRecord})``; ``leaves`` maps the reported integer to
+    ``(BitString, estimate Phase)``.  ``room`` counts the nodes, records
+    and leaves that may still be stored: none on the key's first run, so
+    campaigns that never repeat a key (random phases) keep nothing alive,
+    and ``_MEMO_ENTRIES`` from its second run on.
     """
 
-    __slots__ = ("levels", "leaves", "room")
+    __slots__ = ("nodes", "leaves", "room", "runs")
 
-    def __init__(self, stages: int) -> None:
-        self.levels: list[dict[int, tuple[float, Phase, dict[int, StageRecord]]]] = [
-            {} for _ in range(stages + 1)
-        ]
+    def __init__(self) -> None:
+        self.nodes: dict[int, tuple[float, Phase, dict[int, StageRecord]]] = {}
         self.leaves: dict[int, tuple[BitString, Phase]] = {}
-        self.room = _MEMO_ENTRIES
+        self.room = 0
+        self.runs = 0
 
 
 @functools.lru_cache(maxsize=_MEMO_TREES)
 def _stage_tree(raw: int, width: int, cfg: EstimatorConfig) -> _StageTree:
-    return _StageTree(cfg.n + cfg.guard)
+    return _StageTree()
 
 
 def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> EstimationResult:
@@ -139,8 +141,9 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     cfg)`` key: per (stage, window bits) the probability and residual
     ``Phase``, per vote count the ``StageRecord``, and per reported
     integer the ``BitString`` and estimate ``Phase``.  The memo keeps the
-    8 most recently used keys and at most 2**12 objects per key; past
-    that a run builds what it needs without storing it.  Sharing is safe
+    8 most recently used keys and stores from a key's second run on, at
+    most 2**12 objects per key; a first run, or a run past that cap,
+    builds what it needs without storing it.  Sharing is safe
     because every memoised object is frozen and a function of the key
     and the stage state alone; the generator is never touched, since
     each stage still calls :func:`~qpesim.sampling.run_trials` once, in
@@ -156,7 +159,10 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
         )
     raw = phi.raw
     tree = _stage_tree(raw, width, cfg)
-    levels = tree.levels
+    tree.runs += 1
+    if tree.runs == 2:
+        tree.room = _MEMO_ENTRIES
+    nodes = tree.nodes
     span = 1 << width
     mask = span - 1
     shift = width - 1 - window
@@ -169,14 +175,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     for i in range(total_stages, 0, -1):
         if oracle:
             window_bits = (raw >> (width - i - window)) & window_mask
-        level = levels[i]
-        node = level.get(window_bits)
+        key = (i << window) | window_bits
+        node = nodes.get(key)
         if node is None:
             residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
             node = (math.sin(math.pi * (residual / span)) ** 2, Phase(residual, width), {})
             if tree.room:
                 tree.room -= 1
-                level[window_bits] = node
+                nodes[key] = node
         p, residual_phase, records = node
         h = run_trials(p, reps, rng).h
         record = records.get(h)

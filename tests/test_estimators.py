@@ -300,8 +300,8 @@ class TestFixedPhaseReplay:
             _assert_campaign_replays(phi, cfg, n, REPLAY_SEEDS)
 
     def test_more_keys_than_the_memo_holds(self):
-        # 12 (phase, config) keys visited round robin, so each key comes back
-        # after eleven others
+        # 12 (phase, config) keys visited round robin, two runs per visit,
+        # so each key comes back after eleven others
         keys = []
         for k in range(6):
             phi = Phase(((2 * k + 1) << 58) + 12345, 64)
@@ -309,7 +309,7 @@ class TestFixedPhaseReplay:
             keys.append((phi, EstimatorConfig(n=5, window=2, reps=3, guard=2)))
         for seed in range(40):
             for phi, cfg in keys:
-                _assert_campaign_replays(phi, cfg, seed, 1)
+                _assert_campaign_replays(phi, cfg, seed, 2)
 
     def test_long_full_qft_campaign(self):
         # full QFT at 14 bits off the grid decides its low bits at random:
@@ -320,12 +320,14 @@ class TestFixedPhaseReplay:
 
 
 class TestStageMemo:
-    def test_runs_on_one_key_share_objects(self):
+    def test_runs_after_the_first_share_objects(self):
         phi = parse_phase("0.101b")
-        first = full_qft_estimate(phi, 3, gen(0))
-        second = full_qft_estimate(phi, 3, gen(1))
-        assert first.bits is second.bits and first.estimate is second.estimate
-        assert all(a is b for a, b in zip(first.stage_log, second.stage_log))
+        first, second, third = (full_qft_estimate(phi, 3, gen(seed)) for seed in range(3))
+        assert first == second == third
+        # the first run on a key stores nothing; the second stores what the third reuses
+        assert first.bits is not second.bits
+        assert second.bits is third.bits and second.estimate is third.estimate
+        assert all(a is b for a, b in zip(second.stage_log, third.stage_log))
 
     def test_campaign_past_the_entry_cap(self, monkeypatch):
         # with room for 64 objects the tree fills within the first runs;
@@ -337,8 +339,8 @@ class TestStageMemo:
         try:
             _assert_campaign_replays(phi, cfg, 1, 300)
             tree = estimators._stage_tree(phi.raw, phi.width, cfg)
-            nodes = [node for level in tree.levels for node in level.values()]
+            records = sum(len(node[2]) for node in tree.nodes.values())
             assert tree.room == 0
-            assert len(nodes) + sum(len(node[2]) for node in nodes) + len(tree.leaves) == 64
+            assert len(tree.nodes) + records + len(tree.leaves) == 64
         finally:
             estimators._stage_tree.cache_clear()
