@@ -9,12 +9,13 @@ first and dropped from the reported result.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So runs on the same
-``(phi.raw, phi.width, cfg)`` share the frozen objects an earlier run on
-that key built: each stage's outcome-one probability and residual
+``(phi.raw, phi.width, cfg)`` share the frozen objects that earlier runs
+on that key built: each stage's outcome-one probability and residual
 ``Phase``, its ``StageRecord`` per vote count, and each outcome's
-``BitString`` and estimate ``Phase`` (the 8 most recent keys, at most
-2**12 objects each).  Every run still draws its own trials, in the same
-order, from its own generator, so sharing changes no bit.
+``BitString`` and estimate ``Phase`` (the 8 most recent keys, stored
+from a key's second run on, at most 2**12 objects each).  Every run
+still draws its own trials, in the same order, from its own generator,
+so sharing changes no bit.
 """
 
 from __future__ import annotations
@@ -143,11 +144,11 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     integer the ``BitString`` and estimate ``Phase``.  The memo keeps the
     8 most recently used keys and stores from a key's second run on, at
     most 2**12 objects per key; a first run, or a run past that cap,
-    builds what it needs without storing it.  Sharing is safe
-    because every memoised object is frozen and a function of the key
-    and the stage state alone; the generator is never touched, since
-    each stage still calls :func:`~qpesim.sampling.run_trials` once, in
-    order, on the run's own ``rng``.
+    builds what it needs without storing it.  Sharing is safe because
+    every memoised object is frozen and a function of the key and the
+    stage state alone; the generator is never touched, since each stage
+    still calls :func:`~qpesim.sampling.run_trials` once, in order, on
+    the run's own ``rng``.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
