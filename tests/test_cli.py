@@ -271,6 +271,37 @@ class TestFixedPhaseGolden:
         assert digest == FIXED_PHASE_GOLDEN[algo, fmt]
 
 
+# sha256 of the stdout of estimate --bits 8 --seed 7 --format json with the
+# phase and extra arguments below, recorded before the semiclassical engine
+# built its stage records lazily.  This is the one output that serialises
+# every stage record.
+ESTIMATE_JSON_GOLDEN = {
+    ("0.703125", "qft"): "d1654709f62886c900135cad372d7c4945f09b51272825a996d3fdfa79d92759",
+    ("0.703125", "aqft --degree 3"):
+        "bfc8fad692293814110d66305e9935ad425120cf25cadd8567462d8f4f5c4eba",
+    ("0.703125", "const"): "fcd945d0d7a50c6cf377464728e9b6a2454b6f2690c1422d6c7eb204224eca2b",
+    ("0.703125", "const --feedback oracle --guard 3"):
+        "ed211a3d053a6776bc2cb0422c8146154a8917856f75b451525af295cf7735e9",
+    ("random", "const"): "e6abaf79919ad811d7dc4270eb04b4738d6ae8cbfbd64d17815798c9533fc0a6",
+}
+
+
+class TestEstimateJsonGolden:
+    """The per-stage records of single runs, as ``estimate --format json`` prints them."""
+
+    @pytest.mark.parametrize(
+        "phase,algo", [pytest.param(*key, id=" ".join(key)) for key in ESTIMATE_JSON_GOLDEN]
+    )
+    def test_output_matches_golden(self, phase, algo, capsys):
+        argv = [
+            "estimate", "--bits", "8", "--phase", phase, "--seed", "7",
+            "--format", "json", "--algo", *algo.split(),
+        ]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ESTIMATE_JSON_GOLDEN[phase, algo]
+
+
 class TestValidate:
     def test_passes_with_reasonable_samples(self):
         proc = run_cli("validate", "--bits", "4", "--samples", "4000", "--seed", "0")
