@@ -24,6 +24,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 from numpy.random import Generator
@@ -88,27 +89,90 @@ class EstimationResult:
 
     bits: BitString
     estimate: Phase
-    stage_log: tuple[Any, ...]
+    stage_log: Sequence[Any]
     total_tests: int
     warnings: tuple[str, ...] = ()
 
 
-class _StageTree:
-    """Objects already built for runs on one (raw, width, cfg) key.
+class StageLog(Sequence[StageRecord]):
+    """The ``StageRecord``s of one semiclassical run, built when first read.
 
-    ``nodes`` maps a stage i and the window bits entering it, packed as
-    ``i << window | window_bits``, to ``(probability, residual Phase,
-    {ones: StageRecord})``; ``leaves`` maps the reported integer to
-    ``(BitString, estimate Phase)``.  ``room`` counts the nodes, records
-    and leaves that may still be stored: none on the key's first run, so
-    campaigns that never repeat a key (random phases) keep nothing alive,
-    and ``_MEMO_ENTRIES`` from its second run on.
+    A run keeps only its per-stage vote counts ``ones``; the records come
+    back from ``(raw, width, cfg, ones)`` with the engine's own
+    arithmetic (each bit is the majority of its count, ORACLE window bits
+    are read from ``raw``) and are cached on first read.  The log behaves
+    as the tuple of those records: length, indexing, slicing, iteration,
+    ``repr``, ``==`` (in either operand order) and ``hash``.
     """
 
-    __slots__ = ("nodes", "leaves", "room", "runs")
+    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_records")
+
+    def __init__(self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...]) -> None:
+        self._raw = raw
+        self._width = width
+        self._cfg = cfg
+        self._ones = ones
+        self._records: tuple[StageRecord, ...] | None = None
+
+    def _built(self) -> tuple[StageRecord, ...]:
+        if self._records is None:
+            raw, width, cfg = self._raw, self._width, self._cfg
+            window = cfg.window
+            mask = (1 << width) - 1
+            shift = width - 1 - window
+            window_mask = (1 << window) - 1
+            oracle = cfg.feedback is Feedback.ORACLE
+            reps = cfg.reps
+            window_bits = 0
+            records = []
+            for i, h in zip(range(cfg.n + cfg.guard, 0, -1), self._ones):
+                if oracle:
+                    window_bits = (raw >> (width - i - window)) & window_mask
+                residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
+                bit = 1 if 2 * h > reps else 0
+                records.append(StageRecord(i, Phase(residual, width), reps, h, bit))
+                if window:
+                    window_bits = (bit << (window - 1)) | (window_bits >> 1)
+            self._records = tuple(records)
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._ones)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[StageRecord]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StageLog):
+            other = other._built()
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+class _StageTree:
+    """What runs on one (raw, width, cfg) key have already computed.
+
+    ``probs`` maps a stage i and the window bits entering it, packed as
+    ``i << window | window_bits``, to the stage's outcome-one
+    probability; ``leaves`` maps the reported integer to ``(BitString,
+    estimate Phase)``.  ``room`` counts the probabilities and leaves that
+    may still be stored: none on the key's first run, so campaigns that
+    never repeat a key (random phases) keep nothing alive, and
+    ``_MEMO_ENTRIES`` from its second run on.
+    """
+
+    __slots__ = ("probs", "leaves", "room", "runs")
 
     def __init__(self) -> None:
-        self.nodes: dict[int, tuple[float, Phase, dict[int, StageRecord]]] = {}
+        self.probs: dict[int, float] = {}
         self.leaves: dict[int, tuple[BitString, Phase]] = {}
         self.room = 0
         self.runs = 0
@@ -138,17 +202,21 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
     the replay tests check this engine against.
 
-    The objects a run builds are memoised per ``(phi.raw, phi.width,
-    cfg)`` key: per (stage, window bits) the probability and residual
-    ``Phase``, per vote count the ``StageRecord``, and per reported
-    integer the ``BitString`` and estimate ``Phase``.  The memo keeps the
-    8 most recently used keys and stores from a key's second run on, at
-    most 2**12 objects per key; a first run, or a run past that cap,
-    builds what it needs without storing it.  Sharing is safe because
-    every memoised object is frozen and a function of the key and the
-    stage state alone; the generator is never touched, since each stage
-    still calls :func:`~qpesim.sampling.run_trials` once, in order, on
-    the run's own ``rng``.
+    A run keeps only its vote counts: ``stage_log`` is a :class:`StageLog`
+    that builds the ``StageRecord``s (residual ``Phase`` included) when it
+    is first read, so campaigns that never read the log build none.
+
+    The probabilities and outcomes a run computes are memoised per
+    ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
+    probability float, and per reported integer the ``BitString`` and
+    estimate ``Phase``.  The memo keeps the 8 most recently used keys and
+    stores from a key's second run on, at most 2**12 entries per key; a
+    first run, or a run past that cap, computes what it needs without
+    storing it.  Sharing is safe because every memoised value is frozen
+    and a function of the key and the stage state alone; the generator
+    is never touched, since each stage still calls
+    :func:`~qpesim.sampling.run_trials` once, in order, on the run's own
+    ``rng``.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
@@ -163,7 +231,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     tree.runs += 1
     if tree.runs == 2:
         tree.room = _MEMO_ENTRIES
-    nodes = tree.nodes
+    probs = tree.probs
     span = 1 << width
     mask = span - 1
     shift = width - 1 - window
@@ -172,31 +240,24 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     reps = cfg.reps
     window_bits = 0
     decided = 0  # x_1 .. x_{n+guard}, x_1 most significant
-    log: list[StageRecord] = []
+    ones: list[int] = []
     for i in range(total_stages, 0, -1):
         if oracle:
             window_bits = (raw >> (width - i - window)) & window_mask
         key = (i << window) | window_bits
-        node = nodes.get(key)
-        if node is None:
+        p = probs.get(key)
+        if p is None:
             residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
-            node = (math.sin(math.pi * (residual / span)) ** 2, Phase(residual, width), {})
+            p = math.sin(math.pi * (residual / span)) ** 2
             if tree.room:
                 tree.room -= 1
-                nodes[key] = node
-        p, residual_phase, records = node
+                probs[key] = p
         h = run_trials(p, reps, rng).h
-        record = records.get(h)
-        if record is None:
-            record = StageRecord(i, residual_phase, reps, h, 1 if 2 * h > reps else 0)
-            if tree.room:
-                tree.room -= 1
-                records[h] = record
-        bit = record.bit
+        ones.append(h)
+        bit = 1 if 2 * h > reps else 0
         if window:
             window_bits = (bit << (window - 1)) | (window_bits >> 1)
         decided |= bit << (total_stages - i)
-        log.append(record)
     value = decided >> cfg.guard
     leaf = tree.leaves.get(value)
     if leaf is None:
@@ -210,7 +271,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     return EstimationResult(
         bits=leaf[0],
         estimate=leaf[1],
-        stage_log=tuple(log),
+        stage_log=StageLog(raw, width, cfg, tuple(ones)),
         total_tests=reps * total_stages,
     )
 

@@ -319,19 +319,66 @@ class TestFixedPhaseReplay:
         _assert_campaign_replays(phi, cfg, 0, 600)
 
 
+class TestStageLog:
+    CASES = [
+        (Phase(0x5DEECE66D2B7A3F1, 64), EstimatorConfig(n=6, window=5)),
+        (parse_phase("0.703125"), EstimatorConfig(n=5, window=2, reps=25, guard=2)),
+        (
+            parse_phase("0.37"),
+            EstimatorConfig(n=5, window=2, reps=3, guard=3, feedback=Feedback.ORACLE),
+        ),
+    ]
+
+    @pytest.mark.parametrize("phi,cfg", CASES, ids=["qft", "const", "oracle"])
+    def test_acts_as_the_record_tuple(self, phi, cfg):
+        for seed in range(5):
+            log = semiclassical_estimate(phi, cfg, gen(seed)).stage_log
+            records = reference_estimate(phi, cfg, gen(seed)).stage_log
+            assert isinstance(log, estimators.StageLog) and isinstance(records, tuple)
+            assert log == records and records == log
+            assert not (log != records) and not (records != log)
+            assert hash(log) == hash(records)
+            assert len(log) == len(records) == cfg.n + cfg.guard
+            assert log[0] == records[0] and log[-1] == records[-1]
+            assert log[1:3] == records[1:3] and log[::-2] == records[::-2]
+            assert list(log) == list(records)
+            assert repr(log) == repr(records)
+
+    def test_compares_like_a_tuple(self):
+        phi, cfg = self.CASES[1]
+        log = semiclassical_estimate(phi, cfg, gen(0)).stage_log
+        same = semiclassical_estimate(phi, cfg, gen(0)).stage_log
+        shorter = semiclassical_estimate(phi, EstimatorConfig(n=4, window=2), gen(0)).stage_log
+        assert log == same and hash(log) == hash(same)
+        assert log != shorter and shorter != log
+        assert log != list(log) and log != tuple(log)[:-1]
+
+    def test_records_built_on_first_read(self):
+        phi, cfg = self.CASES[1]
+        log = semiclassical_estimate(phi, cfg, gen(0)).stage_log
+        assert len(log) == 7 and log._records is None
+        first = log[0]
+        assert log._records is not None
+        assert log[0] is first
+        assert all(a is b for a, b in zip(log, log))
+
+
 class TestStageMemo:
     def test_runs_after_the_first_share_objects(self):
+        estimators._stage_tree.cache_clear()
         phi = parse_phase("0.101b")
         first, second, third = (full_qft_estimate(phi, 3, gen(seed)) for seed in range(3))
         assert first == second == third
         # the first run on a key stores nothing; the second stores what the third reuses
         assert first.bits is not second.bits
         assert second.bits is third.bits and second.estimate is third.estimate
-        assert all(a is b for a, b in zip(second.stage_log, third.stage_log))
+        # a phase on the grid decides every run alike: one probability per stage
+        tree = estimators._stage_tree(phi.raw, phi.width, EstimatorConfig(n=3, window=2))
+        assert len(tree.probs) == 3 and len(tree.leaves) == 1
 
     def test_campaign_past_the_entry_cap(self, monkeypatch):
-        # with room for 64 objects the tree fills within the first runs;
-        # later runs build what it lacks without storing it
+        # with room for 64 entries the tree fills within the first runs;
+        # later runs compute what it lacks without storing it
         monkeypatch.setattr(estimators, "_MEMO_ENTRIES", 64)
         estimators._stage_tree.cache_clear()
         phi = Phase(0x5DEECE66D2B7A3F1, 64)
@@ -339,8 +386,7 @@ class TestStageMemo:
         try:
             _assert_campaign_replays(phi, cfg, 1, 300)
             tree = estimators._stage_tree(phi.raw, phi.width, cfg)
-            records = sum(len(node[2]) for node in tree.nodes.values())
             assert tree.room == 0
-            assert len(tree.nodes) + records + len(tree.leaves) == 64
+            assert len(tree.probs) + len(tree.leaves) == 64
         finally:
             estimators._stage_tree.cache_clear()
