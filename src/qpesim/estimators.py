@@ -70,6 +70,14 @@ class EstimatorConfig:
             # window w has degree w+1; degree 2 leaves a cos^2(pi/4) = 1/2
             # per-test floor and no majority margin at all.
             raise ValueError("degree too small for majority margin")
+        # Hashed once, as the stage memo looks the config up on every run.
+        # Only ints and a bool go in, so a pickled config keeps a valid hash
+        # in another process (str hashes, and so Enum hashes, differ there).
+        key = (self.n, self.window, self.reps, self.guard, self.feedback is Feedback.ORACLE)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
