@@ -7,15 +7,18 @@ applies inverse phase corrections controlled by the most recent
 ``reps`` repetitions.  Guard stages are extra low-order bits estimated
 first and dropped from the reported result.
 
+A run keeps only its per-stage vote counts; its ``stage_log`` is a
+:class:`StageLog` that builds the ``StageRecord``s when first read, so
+campaigns that never read the log build no residual ``Phase``.
+
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So runs on the same
-``(phi.raw, phi.width, cfg)`` share the frozen objects that earlier runs
-on that key built: each stage's outcome-one probability and residual
-``Phase``, its ``StageRecord`` per vote count, and each outcome's
-``BitString`` and estimate ``Phase`` (the 8 most recent keys, stored
-from a key's second run on, at most 2**12 objects each).  Every run
-still draws its own trials, in the same order, from its own generator,
-so sharing changes no bit.
+``(phi.raw, phi.width, cfg)`` share what earlier runs on that key
+computed: each stage's outcome-one probability per window state, and
+each outcome's ``BitString`` and estimate ``Phase`` (the 8 most recent
+keys, stored from a key's second run on, at most 2**12 entries each).
+Every run still draws its own trials, in the same order, from its own
+generator, so sharing changes no bit.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from numpy.random import Generator
@@ -35,7 +38,7 @@ from .sampling import run_trials
 
 
 # Stage-tree memo bounds: trees kept (least recently used evicted) and
-# objects stored per tree, past which a run builds without storing.
+# entries stored per tree, past which a run computes without storing.
 _MEMO_TREES = 8
 _MEMO_ENTRIES = 1 << 12
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestConfigValidation:
             EstimatorConfig(n=1, window=-1)
         with pytest.raises(ValueError):
             EstimatorConfig(n=1, window=0, guard=-1)
+
+    def test_equal_configs_hash_alike(self):
+        cfg = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)
+        twin = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert hash(pickle.loads(pickle.dumps(cfg))) == hash(cfg)
+        assert cfg != EstimatorConfig(n=4, window=2, reps=3)
 
     def test_width_headroom_enforced(self):
         phi = Phase(0, 16)
