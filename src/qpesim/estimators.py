@@ -80,7 +80,7 @@ class EstimatorConfig:
         object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class StageLog(Sequence[StageRecord]):
     def __len__(self) -> int:
         return len(self._ones)
 
-    def __getitem__(self, index):  # type: ignore[override]
+    def __getitem__(self, index: Any) -> Any:
         return self._built()[index]
 
     def __iter__(self) -> Iterator[StageRecord]:
