@@ -273,8 +273,9 @@ class TestFixedPhaseGolden:
 
 # sha256 of the stdout of estimate --bits 8 --seed 7 --format json with the
 # phase and extra arguments below, recorded before the semiclassical engine
-# built its stage records lazily.  This is the one output that serialises
-# every stage record.
+# built its stage records lazily (the kitaev entries: before the Kitaev
+# stitch ran on one integer).  This is the one output that serialises every
+# stage record, and for kitaev every StageEstimate field.
 ESTIMATE_JSON_GOLDEN = {
     ("0.703125", "qft"): "d1654709f62886c900135cad372d7c4945f09b51272825a996d3fdfa79d92759",
     ("0.703125", "aqft --degree 3"):
@@ -283,6 +284,8 @@ ESTIMATE_JSON_GOLDEN = {
     ("0.703125", "const --feedback oracle --guard 3"):
         "ed211a3d053a6776bc2cb0422c8146154a8917856f75b451525af295cf7735e9",
     ("random", "const"): "e6abaf79919ad811d7dc4270eb04b4738d6ae8cbfbd64d17815798c9533fc0a6",
+    ("0.703125", "kitaev"): "3936653643c7aad9558d49bda799e499cc46730af7b67db990fc1fa72410f059",
+    ("random", "kitaev"): "b8cb0e36ffb03c8f946680f45db1627b831ef57eb19fb9f5076f97125c617704",
 }
 
 
@@ -300,6 +303,27 @@ class TestEstimateJsonGolden:
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ESTIMATE_JSON_GOLDEN[phase, algo]
+
+
+# sha256 of the stdout of montecarlo --algo kitaev --bits 8 --runs 200 --seed 7
+# (random phases) in each format, recorded before the Kitaev stitch ran on
+# one integer and the random phase was drawn as one raw word.
+KITAEV_MONTECARLO_GOLDEN = {
+    "json": "514c158fc07e1c00094b2330bd11f39b6ee0fafe070e02e506bc6b6fe7a46e77",
+    "csv": "6e121403a3db121e8a11fbaa8d897f67c505074eab472dc7473e390a2e00f720",
+}
+
+
+class TestKitaevMonteCarloGolden:
+    @pytest.mark.parametrize("fmt", list(KITAEV_MONTECARLO_GOLDEN))
+    def test_output_matches_golden(self, fmt, capsys):
+        argv = [
+            "montecarlo", "--algo", "kitaev", "--bits", "8", "--runs", "200",
+            "--seed", "7", "--format", fmt,
+        ]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == KITAEV_MONTECARLO_GOLDEN[fmt]
 
 
 class TestValidate:

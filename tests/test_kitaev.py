@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -205,6 +207,48 @@ class TestStitchBits:
                         assert moved <= 2.0**-k + 1e-15
 
 
+def _eighths_distance(a: int, b: int) -> int:
+    """Circular distance between multiples of 1/8, in units of 1/8."""
+    d = (a - b) % 8
+    return min(d, 8 - d)
+
+
+def reference_stitch(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
+    """The stitch written out bit by bit: a dict of digits, two distances per stage."""
+    n = len(betas)
+    if n < 1:
+        raise ValueError("need at least one stage")
+    if any(not 0 <= b <= 7 for b in betas):
+        raise ValueError("snapped values must lie in 0..7")
+    bits: dict[int, int] = {}
+    last = betas[-1]
+    bits[n], bits[n + 1], bits[n + 2] = (last >> 2) & 1, (last >> 1) & 1, last & 1
+    flagged: list[str] = []
+    for k in range(n - 1, 0, -1):
+        low_candidate = 2 * bits[k + 1] + bits[k + 2]  # 0.0 x_{k+1} x_{k+2} in eighths
+        d0 = _eighths_distance(low_candidate, betas[k - 1])
+        d1 = _eighths_distance(low_candidate + 4, betas[k - 1])
+        if d0 < 2:
+            bits[k] = 0
+        elif d1 < 2:
+            bits[k] = 1
+        else:
+            bits[k] = 0
+            flagged.append(f"stage {k}: candidates equidistant from snapped estimate, chose 0")
+    return BitString(tuple(bits[i] for i in range(1, n + 3))), tuple(flagged)
+
+
+class TestStitchReplay:
+    def test_every_short_beta_sequence(self):
+        # all 8 + 64 + 512 + 4096 + 32768 sequences of length 1..5
+        checked = 0
+        for n in range(1, 6):
+            for betas in itertools.product(range(8), repeat=n):
+                assert stitch_bits(betas) == reference_stitch(betas), betas
+                checked += 1
+        assert checked == 37_448
+
+
 class TestNoiselessPipeline:
     def test_exact_probabilities_recover_every_phase(self):
         # full sweep of 8-bit phases at n=6: snapped values stay within 1/8
@@ -293,7 +337,7 @@ def reference_kitaev(phi: Phase, cfg: KitaevConfig, rng, exact: bool) -> Estimat
         ]
         beta = distances.index(min(distances))  # the first minimum: ties go to the lower index
         stages.append(StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, beta))
-    bits, warnings = stitch_bits([s.beta for s in stages])
+    bits, warnings = reference_stitch([s.beta for s in stages])
     return EstimationResult(
         bits=bits,
         estimate=phase_from_bits(bits, phi.width),
