@@ -190,6 +190,8 @@ def trials_table(
         if not 0.0 < p < 1.0:
             raise ValueError("success probability must lie in (0, 1)")
         eps = 1.0 - p
+        if eps == 1.0:
+            raise ValueError(f"success probability {p!r} too small: 1 - p rounds to 1")
         rows.append(
             TrialTableRow(
                 success_prob=p,

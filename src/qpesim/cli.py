@@ -4,7 +4,8 @@ Every command is deterministic given ``--seed``: independent Monte
 Carlo runs draw their randomness (including random phases) from
 per-run derived streams, so output is byte-identical across
 invocations and independent of any parallel scheduling.  Exit codes:
-0 success, 1 usage error, 2 validation failure.
+0 success, 1 usage error (or a reader that closed the output early),
+2 validation failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -151,7 +153,13 @@ def _engine_config(args: argparse.Namespace) -> EstimatorConfig:
 
 
 def _random_phase(rng: np.random.Generator) -> Phase:
-    return Phase(int(rng.integers(0, 1 << DEFAULT_WIDTH, dtype=np.uint64)), DEFAULT_WIDTH)
+    """A uniform 64-bit phase: one raw generator word.
+
+    ``rng.integers(0, 2**64, dtype=np.uint64)`` returns that same word
+    and leaves the generator in the same state; the raw draw skips its
+    bounds handling.
+    """
+    return Phase(rng.bit_generator.random_raw(), DEFAULT_WIDTH)
 
 
 def _run_setup(args: argparse.Namespace) -> tuple[Phase | None, KitaevConfig | EstimatorConfig]:
@@ -464,7 +472,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        code = args.handler(parser, args)
+        sys.stdout.flush()  # a reader that has gone surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head``).  Point stdout at
+        # the null device so the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print(f"qpesim: error: {exc}", file=sys.stderr)
         return 1

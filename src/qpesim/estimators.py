@@ -272,10 +272,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     value = decided >> cfg.guard
     leaf = tree.leaves.get(value)
     if leaf is None:
-        leaf = (
-            BitString(tuple((value >> (cfg.n - j)) & 1 for j in range(1, cfg.n + 1))),
-            Phase(value << (width - cfg.n), width),
-        )
+        leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
         if tree.room:
             tree.room -= 1
             tree.leaves[value] = leaf
@@ -337,20 +334,33 @@ def constant_precision_estimate(
     return semiclassical_estimate(phi, cfg, rng)
 
 
+def estimate_phase(result: EstimationResult, width: int) -> Phase:
+    """The reported estimate as a width-bit phase.
+
+    That is ``result.estimate`` when it has this width; otherwise the
+    bits are converted with ``phase_from_bits``.
+    """
+    if result.estimate.width == width:
+        return result.estimate
+    return phase_from_bits(result.bits, width)
+
+
 def is_success(result: EstimationResult, phi: Phase, n: int) -> bool:
     """Whether the estimate is within 2**-n of phi on the circle (inclusive).
 
     Inclusive at the boundary: for phi between two n-bit grid points,
-    both neighbours count as success.
+    both neighbours count as success.  The estimate is
+    ``result.estimate`` when its width is ``phi.width`` (both engines
+    build it from the reported bits), else the bits at ``phi.width``.
     """
     if not 1 <= n <= phi.width:
         raise ValueError("n must lie in 1..width")
-    est = phase_from_bits(result.bits, phi.width)
+    est = estimate_phase(result, phi.width)
     span = 1 << phi.width
     d = (est.raw - phi.raw) % span
     return min(d, span - d) <= (1 << (phi.width - n))
 
 
 def estimation_error(result: EstimationResult, phi: Phase) -> float:
-    """Mod-1 distance between the estimated bits and the true phase."""
-    return mod1_distance(phase_from_bits(result.bits, phi.width), phi)
+    """Mod-1 distance between the estimate and the true phase."""
+    return mod1_distance(estimate_phase(result, phi.width), phi)

@@ -9,11 +9,22 @@ within 1/8 of the true stage phase.
 
 A stage runs on the raw phase integer: its angle and outcome
 probabilities are the same floats that ``double_k`` and
-``hadamard_probs`` compute, the arctangent is rounded to the phase grid
-exactly (``phase_from_float``, equal to ``phase_from_fraction``), and
-the eight candidate eighths of the snap are built once per width.
+``hadamard_probs`` compute, each battery's frequency is its count of
+ones over m1 (the float ``frequency_estimate`` returns), and the
+arctangent is rounded to the phase grid exactly (``phase_from_float``,
+equal to ``phase_from_fraction``).  The snap builds its eight candidate
+eighths once per width, lists the eight ``mod1_distance`` values and
+takes the index of the first minimum, so ties go to the lower eighth.
 Those primitives are the reference that ``TestKitaevReplay`` checks the
 estimator against, bit for bit and draw for draw.
+
+The stitch walks on one integer holding the digits decided so far: each
+stage compares the two-digit low candidate with its snapped eighth
+modulo 8 and sets the new leading digit with a single shift.  The
+digits become a ``BitString`` through the byte table of
+``BitString.from_int``, and the estimate ``Phase`` comes from the same
+integer; ``TestStitchReplay`` checks the walk against the digit-by-digit
+stitch on every snapped sequence of up to five stages.
 
 Trial budgets come from a Chernoff inversion and are deliberately
 conservative.  Once a battery has seen at least ten outcomes of each
@@ -32,17 +43,16 @@ from typing import Sequence
 from numpy.random import Generator
 
 from .bounds import finite_ceil, kitaev_accuracy_threshold
-from .estimators import EstimationResult
+from .estimators import EstimationResult, estimate_phase
 from .phase import (
     DEFAULT_WIDTH,
     GUARD_BITS,
     BitString,
     Phase,
     mod1_distance,
-    phase_from_bits,
     phase_from_float,
 )
-from .sampling import frequency_estimate, run_trials
+from .sampling import run_trials
 
 
 @dataclass(frozen=True)
@@ -112,17 +122,11 @@ def _eighths(width: int) -> tuple[Phase, ...]:
 def snap_beta(phi_tilde: Phase) -> int:
     """Index j of the closest eighth j/8 (mod 1); ties go to the lower index.
 
-    The candidates are built once per width; all eight comparisons go
-    through ``mod1_distance``.
+    The candidates are built once per width; all eight distances go
+    through ``mod1_distance``, and the first minimum wins.
     """
-    eighths = _eighths(phi_tilde.width)
-    best_j = 0
-    best_d = mod1_distance(phi_tilde, eighths[0])
-    for j in range(1, 8):
-        d = mod1_distance(phi_tilde, eighths[j])
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
+    distances = [mod1_distance(phi_tilde, eighth) for eighth in _eighths(phi_tilde.width)]
+    return distances.index(min(distances))
 
 
 def estimate_stage(
@@ -146,26 +150,15 @@ def estimate_stage(
         freq_cos = p1_cos
         freq_sin = p1_sin
     else:
-        freq_cos = frequency_estimate(run_trials(p1_cos, m1, rng))
-        freq_sin = frequency_estimate(run_trials(p1_sin, m1, rng))
+        # h / m1 is the float frequency_estimate returns
+        freq_cos = run_trials(p1_cos, m1, rng).h / m1
+        freq_sin = run_trials(p1_sin, m1, rng).h / m1
     # 2*p0 - 1 and 2*p1 - 1; clamping is the maximum-likelihood projection
     # onto the valid range (a no-op for frequencies, kept for safety).
     cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * freq_cos))
     sin_estimate = min(1.0, max(-1.0, 2.0 * freq_sin - 1.0))
     phi_tilde = arctan_phase(sin_estimate, cos_estimate, width)
-    return StageEstimate(
-        k=k,
-        sin_estimate=sin_estimate,
-        cos_estimate=cos_estimate,
-        phi_tilde=phi_tilde,
-        beta=snap_beta(phi_tilde),
-    )
-
-
-def _eighths_distance(a: int, b: int) -> int:
-    """Circular distance between multiples of 1/8, in units of 1/8."""
-    d = (a - b) % 8
-    return min(d, 8 - d)
+    return StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, snap_beta(phi_tilde))
 
 
 def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
@@ -177,28 +170,28 @@ def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
     betas exactly one candidate qualifies; the impossible equidistant
     case (distance exactly 1/4 both ways, only reachable through
     inconsistent snaps) picks 0 and flags a warning.
+
+    The digits decided so far, x_{k+1} .. x_{n+2}, are one integer
+    ``value``; its top two digits ``value >> (n - k)`` are the low
+    candidate in eighths, and ``d = (low - beta_k) mod 8`` decides:
+    d in {0, 1, 7} puts the low candidate within 1/4 (x_k = 0), d in
+    {3, 4, 5} puts the high one, low + 4, within 1/4 (x_k = 1), and
+    d in {2, 6} is the equidistant case.
     """
     n = len(betas)
     if n < 1:
         raise ValueError("need at least one stage")
     if any(not 0 <= b <= 7 for b in betas):
         raise ValueError("snapped values must lie in 0..7")
-    bits: dict[int, int] = {}
-    last = betas[-1]
-    bits[n], bits[n + 1], bits[n + 2] = (last >> 2) & 1, (last >> 1) & 1, last & 1
+    value = betas[-1]  # x_n x_{n+1} x_{n+2}
     flagged: list[str] = []
     for k in range(n - 1, 0, -1):
-        low_candidate = 2 * bits[k + 1] + bits[k + 2]  # 0.0 x_{k+1} x_{k+2} in eighths
-        d0 = _eighths_distance(low_candidate, betas[k - 1])
-        d1 = _eighths_distance(low_candidate + 4, betas[k - 1])
-        if d0 < 2:
-            bits[k] = 0
-        elif d1 < 2:
-            bits[k] = 1
-        else:
-            bits[k] = 0
+        d = ((value >> (n - k)) - betas[k - 1]) & 7
+        if 3 <= d <= 5:
+            value |= 1 << (n + 2 - k)
+        elif d == 2 or d == 6:
             flagged.append(f"stage {k}: candidates equidistant from snapped estimate, chose 0")
-    return BitString(tuple(bits[i] for i in range(1, n + 3))), tuple(flagged)
+    return BitString.from_int(value, n + 2), tuple(flagged)
 
 
 def kitaev_estimate(
@@ -212,7 +205,7 @@ def kitaev_estimate(
     bits, warnings = stitch_bits([s.beta for s in stages])
     return EstimationResult(
         bits=bits,
-        estimate=phase_from_bits(bits, phi.width),
+        estimate=Phase(bits.to_int() << (phi.width - cfg.n - 2), phi.width),
         stage_log=tuple(stages),
         total_tests=2 * m1 * cfg.n,
         warnings=warnings,
@@ -220,8 +213,13 @@ def kitaev_estimate(
 
 
 def within_guarantee(result: EstimationResult, phi: Phase, n: int) -> bool:
-    """Whether the stitched estimate meets the strict 2**-(n+2) error guarantee."""
-    est = phase_from_bits(result.bits, phi.width)
+    """Whether the stitched estimate meets the strict 2**-(n+2) error guarantee.
+
+    The estimate is ``result.estimate`` when its width is ``phi.width``
+    (``kitaev_estimate`` builds it from the stitched bits), else the
+    bits at ``phi.width``.
+    """
+    est = estimate_phase(result, phi.width)
     span = 1 << phi.width
     d = (est.raw - phi.raw) % span
     return min(d, span - d) < (1 << (phi.width - (n + 2)))

@@ -22,6 +22,9 @@ DEFAULT_WIDTH = 64
 # representation; estimator front-ends enforce this margin.
 GUARD_BITS = 4
 
+# The eight binary digits of every byte value, most significant first.
+_BYTE_DIGITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) for byte in range(256))
+
 _BINARY_LITERAL = re.compile(r"^0\.([01]+)b$")
 _RAW_LITERAL = re.compile(r"^(\d+)@(\d+)$")
 
@@ -83,6 +86,19 @@ class BitString:
         if not re.fullmatch(r"[01]*", text):
             raise ValueError(f"not a bit string: {text!r}")
         return cls(tuple(int(c) for c in text))
+
+    @classmethod
+    def from_int(cls, value: int, length: int) -> "BitString":
+        """The ``length``-digit binary expansion of ``value`` (x_1 most significant).
+
+        Digits are read a byte at a time from a 256-entry table.
+        """
+        if length < 0 or not 0 <= value < (1 << length):
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        digits: tuple[int, ...] = ()
+        for byte in value.to_bytes((length + 7) >> 3, "big"):
+            digits += _BYTE_DIGITS[byte]
+        return cls(digits[-length & 7 :])
 
     def to_int(self) -> int:
         """The digits read as an unsigned integer (x_1 most significant)."""
@@ -199,7 +215,9 @@ def mod1_distance(a: Phase | float, b: Phase | float) -> float:
     if isinstance(a, Phase) and isinstance(b, Phase) and a.width == b.width:
         span = 1 << a.width
         d = (a.raw - b.raw) % span
-        return min(d, span - d) / span
+        if 2 * d > span:
+            d = span - d
+        return d / span
     av = a.value if isinstance(a, Phase) else float(a)
     bv = b.value if isinstance(b, Phase) else float(b)
     d = abs(av - bv) % 1.0

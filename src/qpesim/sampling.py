@@ -105,6 +105,8 @@ def run_trials(p: float, m: int, rng: Generator) -> TrialStats:
         raise ValueError("invalid probability")
     if m == 1:
         return _SINGLE_TRIAL[rng.random() < p]
+    if m <= _CHUNK:
+        return _trial_stats(m, int(np.count_nonzero(rng.random(m) < p)))
     h = 0
     left = m
     while left > _CHUNK:

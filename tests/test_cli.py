@@ -6,9 +6,11 @@ import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qpesim.cli import main
+from qpesim.cli import _random_phase, main
+from qpesim.sampling import RngSeed, make_generator
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -120,6 +122,34 @@ class TestUsageErrors:
         assert "error" in proc.stderr
 
 
+class TestClosedPipe:
+    def test_reader_closing_early_is_quiet(self):
+        # read one line, then close the pipe as `| head -1` does; the rows
+        # overflow the pipe buffer, so the CLI is still writing at the close
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qpesim", "montecarlo", "--algo", "qft", "--bits", "4",
+             "--runs", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().split() == [b"run", b"phi", b"success", b"tests"]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == b""
+
+
+class TestRandomPhase:
+    def test_raw_word_matches_bounded_draw(self):
+        # integers(0, 2**64, dtype=uint64) returns the raw word unchanged, and
+        # both leave the generator in the same state
+        for seed in range(1000):
+            rng, twin = make_generator(RngSeed(seed, 3)), make_generator(RngSeed(seed, 3))
+            assert _random_phase(rng).raw == int(twin.integers(0, 1 << 64, dtype=np.uint64))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestExtremeBudgets:
     @pytest.mark.parametrize(
         "args",
@@ -162,6 +192,13 @@ class TestTable:
     def test_exact_constants(self):
         proc = run_cli("table", "--probs", "0.5", "--exact-constants", "--format", "csv")
         assert csv_rows(proc.stdout)[1][2:] == ["97", "3"]
+
+    def test_vanishing_success_probability_named(self, capsys):
+        # 1 - 1e-320 rounds to 1.0, a failure budget the user never gave
+        assert main(["table", "--probs", "1e-320"]) == 1
+        err = capsys.readouterr().err
+        assert "success probability 1e-320 too small" in err
+        assert "failure budget" not in err
 
 
 class TestCompare:
