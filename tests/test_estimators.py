@@ -206,6 +206,17 @@ class TestSuccessPredicate:
         almost_one = Phase((1 << 64) - (1 << 60))
         assert is_success(result, almost_one, 4)
 
+    def test_estimate_of_another_width_falls_back_to_bits(self):
+        # an estimate narrower than phi cannot be compared raw to raw
+        result = self._result_with_bits("0101")
+        narrow = EstimationResult(
+            bits=result.bits, estimate=phase_from_bits(result.bits, 8), stage_log=(), total_tests=0
+        )
+        for raw in (5 << 60, (5 << 60) + (1 << 60), (5 << 60) + (3 << 59), 7 << 59):
+            phi = Phase(raw)
+            assert is_success(narrow, phi, 4) == is_success(result, phi, 4)
+            assert estimation_error(narrow, phi) == estimation_error(result, phi)
+
 
 class TestSampledDistribution:
     def test_full_window_matches_exact_law(self):

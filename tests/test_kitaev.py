@@ -304,6 +304,16 @@ class TestKitaevEstimate:
         with pytest.raises(ValueError, match="width"):
             kitaev_estimate(Phase(0, 32), KitaevConfig(n=3, eps=0.5), gen())
 
+    def test_guarantee_on_an_estimate_of_another_width(self):
+        phi = parse_phase("0.703125")
+        result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5), gen(), exact=True)
+        narrow = EstimationResult(
+            bits=result.bits, estimate=phase_from_bits(result.bits, 16), stage_log=(), total_tests=0
+        )
+        for raw in range(0, 1 << 64, 1 << 58):
+            other = Phase(raw)
+            assert within_guarantee(narrow, other, 3) == within_guarantee(result, other, 3)
+
     def test_guarantee_is_strict(self):
         phi = parse_phase("0.101b")
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, trials_per_test=2000), gen(6))

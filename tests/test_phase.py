@@ -171,6 +171,15 @@ class TestMod1Distance:
     def test_exact_on_equal_width_phases(self):
         assert mod1_distance(Phase(1, 64), Phase(0, 64)) == 2.0**-64
 
+    def test_exact_path_every_narrow_pair(self):
+        for width in range(1, 7):
+            span = 1 << width
+            for a in range(span):
+                for b in range(span):
+                    d = (a - b) % span
+                    expected = min(d, span - d) / span
+                    assert mod1_distance(Phase(a, width), Phase(b, width)) == expected
+
     @given(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)))
     def test_circle_metric(self, triple):
         a, b, c = triple
@@ -255,3 +264,18 @@ class TestBitString:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitString((0, 2))
+
+    def test_from_int_matches_digit_loop(self):
+        cases = [(v, n) for n in range(13) for v in range(1 << n)]
+        cases += [((1 << 64) - 1, 64), (0x8000000000000001, 64), (0x5A5A5A5A5A5A5A5, 63)]
+        for value, length in cases:
+            digits = tuple((value >> (length - j)) & 1 for j in range(1, length + 1))
+            assert BitString.from_int(value, length) == BitString(digits)
+
+    def test_from_int_rejects_values_too_wide(self):
+        with pytest.raises(ValueError):
+            BitString.from_int(8, 3)
+        with pytest.raises(ValueError):
+            BitString.from_int(-1, 3)
+        with pytest.raises(ValueError):
+            BitString.from_int(0, -1)
