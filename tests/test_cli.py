@@ -363,6 +363,112 @@ class TestKitaevMonteCarloGolden:
         assert digest == KITAEV_MONTECARLO_GOLDEN[fmt]
 
 
+# sha256 of the stdout of each command line below, recorded before the
+# commands shared one row emitter and the CLI built its configs through the
+# library's builders: table and compare in every format (default and exact
+# budget coefficient), estimate table/csv, and the montecarlo formats the
+# goldens above leave out.
+_ESTIMATE = "estimate --bits 8 --phase 0.703125 --seed 7 --algo "
+_FIXED_MC = "montecarlo --bits 8 --phase 0.703125 --runs 300 --seed 7 --format csv --algo "
+COMMAND_GOLDEN = {
+    "table --format table": "a494e8b8e9478389cf5b89bdbf75432f8f76d9446e527ae9a86b900221fcb587",
+    "table --format csv": "f380ab334a811814cf35635a4a1d93c5bd4466f56507c61fe2693bcce1f57490",
+    "table --format json": "ae52b39fd09dda6576a76ded4cfc8afce1f4ef97209e1ae469d14589c948e11b",
+    "table --format table --exact-constants":
+        "c5cd8fa51305b26689e0805e06d9699df501c79dc0867f1ec8c9dcbd03eef52c",
+    "table --format csv --exact-constants":
+        "181ed02504c4446b62df38bb13c4b371f2c1acabaee4b5da1d81a6b1163a2d62",
+    "table --format json --exact-constants":
+        "4f3bf0268e12e421631d034fc54c1af7fbd567658cbbbec952b9887b852bb1ff",
+    "compare --format table": "efe8282394e0577ec736b87c7d43434fb2b330a1a17303c59f946e7f6014c8af",
+    "compare --format csv": "a3c33504c29b1cb3f7adb3307339c2167a5616a67554ec974a6ebbd3d0d953ae",
+    "compare --format json": "20d4ed43f84709c8dd188eb8cd6ffdcc1cc9f75d5bf5368254341756a3fa0205",
+    "compare --format table --exact-constants":
+        "c105721c6b01da62b416448ae233202efb3eee4024e028f83ad33c3f5145db11",
+    "compare --format csv --exact-constants":
+        "58d7edd17f2d9ce4e8d27a2a86dfa5add714c10684bf29067e14c4cde1970f60",
+    "compare --format json --exact-constants":
+        "e2325118193cb7d453150ea91eaac6c9fa2478f50058902db3de996feb83c3e1",
+    _ESTIMATE + "qft --format table": "f8ea7e936718b3fd2ea8058b70fe113106af06b6914ffc10fea0816df8553f46",
+    _ESTIMATE + "qft --format csv": "67e86ba0cd63df2ad8214b6ffad6e4abe5a8cfa079c19912b9581bcadd247767",
+    _ESTIMATE + "aqft --degree 3 --format table":
+        "b44c538c750d8adbea418a3c9480b598bd6216b703eeef7e5732e266301f680e",
+    _ESTIMATE + "aqft --degree 3 --format csv":
+        "a0b3b498df807e86948c8f0d17da1c676b5eaccb023f2ed6b99c519da823e4f3",
+    _ESTIMATE + "const --format table": "1cce33be2f0ca907c0f2b77eeda686bbf673437118edd8afe1e638ec1bb59152",
+    _ESTIMATE + "const --format csv": "a809b7811edc0f57e41a36c9aa53793cae732b9401281b887ba137ffe30fbe43",
+    _ESTIMATE + "kitaev --format table": "d98a12a08b7996f3704aecd9c77022dc47df35e0325a1d5ad058c0369be7bf84",
+    _ESTIMATE + "kitaev --format csv": "c5921bbd06b0fafd3ac83198dd360bb19ba0f0bf78c98e16a94fa8be493e8dc4",
+    _ESTIMATE + "kitaev --exact-constants --format table":
+        "7079a43575ebb03bb4303fac057867932cf852efc09fd93f5fdc1d889538b577",
+    _ESTIMATE + "kitaev --exact-constants --format csv":
+        "0b6b45bff0a983e042dea85493256545b50e37216b3286b1231f334d9f20bd0c",
+    _FIXED_MC + "qft": "d1ead574df2b1cc1374df075b8e25d5ed224e29f8628f9e991684ba083f010d0",
+    _FIXED_MC + "aqft --degree 3": "8621670b45ba5f13e8d71fb742879d49980e903813ad6994701472511d8d0f08",
+    _FIXED_MC + "const": "0bfb808e483d739cb900fefa8a9cff026c14beabcc616f08c0cf5c8f8a3fbacd",
+    _FIXED_MC + "const --feedback oracle --guard 3":
+        "ab08b280bceb992a211e8a622325c43ecb93f5e7ea5c65dad1665dc8a23d440a",
+    "montecarlo --algo kitaev --bits 8 --runs 200 --seed 7 --format table":
+        "3bb865b5126b8ce052111a4efb5da041f77d38d5b3b552518a209d9407663188",
+}
+
+
+class TestCommandGolden:
+    @pytest.mark.parametrize("command", list(COMMAND_GOLDEN))
+    def test_output_matches_golden(self, command, capsys):
+        assert main(command.split()) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == COMMAND_GOLDEN[command]
+
+
+def exit_code(argv: list[str]) -> int:
+    """``main``'s exit code, whether it returns it or a usage error raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Each optional flag an algo rejects, with the message recorded before the
+# usage errors were generated from a per-algo table of accepted flags.
+REJECTED_FLAGS = {
+    ("kitaev", "--degree 3"): "--degree applies only to aqft/const",
+    ("kitaev", "--feedback oracle"): "--feedback applies only to qft/aqft/const",
+    ("kitaev", "--guard 1"): "--guard applies only to qft/aqft/const",
+    ("qft", "--degree 3"): "--degree applies only to aqft/const",
+    ("qft", "--eps 0.1"): "--eps applies only to kitaev/const",
+    ("qft", "--exact-constants"): "--exact-constants applies only to kitaev",
+    ("aqft --degree 3", "--eps 0.1"): "--eps applies only to kitaev/const",
+    ("aqft --degree 3", "--exact-constants"): "--exact-constants applies only to kitaev",
+    ("const", "--exact-constants"): "--exact-constants applies only to kitaev",
+    ("aqft", "--reps 3"): "--degree is required for aqft",
+    ("qft", "--reps 0"): "--reps must be positive",
+    ("const", "--guard -1"): "--guard must be nonnegative",
+    ("kitaev", "--bits 0"): "--bits must be positive",
+}
+
+
+class TestUsageErrorMatrix:
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+    @pytest.mark.parametrize(
+        "algo,flag", [pytest.param(*key, id=" ".join(key)) for key in REJECTED_FLAGS]
+    )
+    def test_exit_one_with_message(self, command, algo, flag, capsys):
+        argv = [command, "--bits", "5", "--phase", "0.3", "--algo", *algo.split(), *flag.split()]
+        assert exit_code(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"qpesim: error: {REJECTED_FLAGS[algo, flag]}"
+
+    def test_first_rejected_flag_named(self, capsys):
+        argv = ["estimate", "--algo", "kitaev", "--bits", "4", "--guard", "1", "--feedback",
+                "oracle", "--degree", "3"]
+        assert exit_code(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qpesim: error: --degree applies only to aqft/const"
+        )
+
+
 class TestValidate:
     def test_passes_with_reasonable_samples(self):
         proc = run_cli("validate", "--bits", "4", "--samples", "4000", "--seed", "0")
