@@ -33,7 +33,9 @@ from .estimators import (
     EstimatorConfig,
     Feedback,
     StageRecord,
+    aqft_config,
     aqft_estimate,
+    constant_precision_config,
     constant_precision_estimate,
     estimation_error,
     full_qft_estimate,

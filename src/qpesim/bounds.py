@@ -79,16 +79,22 @@ def per_bit_budget(eps: float, n: int) -> float:
     return budget
 
 
+def kitaev_coefficient(mode: BudgetMode = BudgetMode.ROUNDED47) -> float:
+    """Two-basis tests per bit per unit of log(4/eps): 47, or 2/(2*delta^2) = 46.627... (EXACT)."""
+    if mode is BudgetMode.ROUNDED47:
+        return 47.0
+    delta = kitaev_accuracy_threshold()
+    return 2.0 / (2.0 * delta * delta)
+
+
 def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -> int:
-    """Hadamard tests per bit for the two-basis estimator at failure budget eps."""
+    """Hadamard tests per bit for the two-basis estimator at failure budget eps.
+
+    The table's rounding: the whole per-bit budget rounded up, 337 at eps = 0.05/16.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("failure budget must lie in (0, 1)")
-    if mode is BudgetMode.ROUNDED47:
-        coeff = 47.0
-    else:
-        delta = kitaev_accuracy_threshold()
-        coeff = 2.0 / (2.0 * delta * delta)
-    return finite_ceil(coeff * math.log(4.0 / eps))
+    return finite_ceil(kitaev_coefficient(mode) * math.log(4.0 / eps))
 
 
 def kitaev_total_budget(

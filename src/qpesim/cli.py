@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from typing import Any
 
 import numpy as np
@@ -24,7 +25,6 @@ from .bounds import (
     BudgetMode,
     const_precision_trials,
     kitaev_trials_per_bit,
-    per_bit_budget,
     qft_lower_bound,
     round_up_to_odd,
     trials_table,
@@ -33,8 +33,10 @@ from .estimators import (
     EstimationResult,
     EstimatorConfig,
     Feedback,
-    StageRecord,
+    aqft_config,
+    constant_precision_config,
     estimation_error,
+    full_qft_config,
     is_success,
     semiclassical_estimate,
 )
@@ -70,86 +72,41 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--bits", type=int, required=True, help="bits to estimate")
     parser.add_argument(
-        "--eps", type=float, default=None,
-        help="overall failure budget (kitaev/const only; default 0.05)",
+        "--eps", type=float, help="overall failure budget (kitaev/const only; default 0.05)"
     )
     parser.add_argument(
-        "--degree", type=int, default=None,
-        help="phase-shift degree (aqft: required; const: default 3)",
+        "--degree", type=int, help="phase-shift degree (aqft: required; const: default 3)"
     )
     parser.add_argument(
-        "--reps", type=int, default=None,
+        "--reps", type=int,
         help="per-bit repetitions override (rounded up to odd; kitaev: per-basis trials)",
     )
     parser.add_argument(
-        "--guard", type=int, default=None,
-        help="guard-stage override (qft/aqft/const; const defaults to 2)",
+        "--guard", type=int, help="guard-stage override (qft/aqft/const; const defaults to 2)"
     )
     parser.add_argument(
-        "--feedback", choices=("estimated", "oracle"), default=None,
+        "--feedback", choices=("estimated", "oracle"),
         help="correction-bit source for qft/aqft/const (default estimated)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--format", choices=_FORMATS, default="table")
     parser.add_argument(
-        "--exact-constants", action="store_true",
+        "--exact-constants", action="store_true", default=None,
         help="use the exact budget coefficient instead of the rounded 47 (kitaev)",
     )
 
 
-def _check_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.bits < 1:
-        parser.error("--bits must be positive")
-    if args.algo in ("kitaev", "qft"):
-        if args.degree is not None:
-            parser.error("--degree applies only to aqft/const")
-    if args.algo in ("qft", "aqft"):
-        if args.eps is not None:
-            parser.error("--eps applies only to kitaev/const")
-        if args.exact_constants:
-            parser.error("--exact-constants applies only to kitaev")
-    if args.algo == "kitaev":
-        if args.feedback is not None:
-            parser.error("--feedback applies only to qft/aqft/const")
-        if args.guard is not None:
-            parser.error("--guard applies only to qft/aqft/const")
-    if args.algo == "const" and args.exact_constants:
-        parser.error("--exact-constants applies only to kitaev")
-    if args.algo == "aqft" and args.degree is None:
-        parser.error("--degree is required for aqft")
-    if args.eps is None and args.algo in ("kitaev", "const"):
-        args.eps = 0.05
-    if args.degree is None and args.algo == "const":
-        args.degree = 3
-    if args.feedback is None:
-        args.feedback = "estimated"
-    if args.reps is not None and args.reps < 1:
-        parser.error("--reps must be positive")
-    if args.guard is not None and args.guard < 0:
-        parser.error("--guard must be nonnegative")
+# The optional run flags each algo accepts (omitted ones are None); others are usage errors.
+_ALGO_FLAGS = {
+    "kitaev": ("eps", "reps", "exact_constants"),
+    "qft": ("reps", "guard", "feedback"),
+    "aqft": ("degree", "reps", "guard", "feedback"),
+    "const": ("degree", "eps", "reps", "guard", "feedback"),
+}
 
 
-def _engine_config(args: argparse.Namespace) -> EstimatorConfig:
-    n = args.bits
-    if args.algo == "qft":
-        window, default_reps, default_guard = n - 1, 1, 0
-    elif args.algo == "aqft":
-        if args.degree < 2:
-            raise ValueError("degree must be at least 2")
-        window, default_reps, default_guard = args.degree - 1, 1, 0
-    else:
-        if args.degree < 3:
-            raise ValueError("degree too small for majority margin")
-        window = args.degree - 1
-        default_reps = round_up_to_odd(
-            const_precision_trials(per_bit_budget(args.eps, n), args.degree)
-        )
-        default_guard = 2
-    reps = default_reps if args.reps is None else round_up_to_odd(args.reps)
-    guard = default_guard if args.guard is None else args.guard
-    return EstimatorConfig(
-        n=n, window=window, reps=reps, guard=guard, feedback=Feedback(args.feedback)
-    )
+def _budget_mode(args: argparse.Namespace) -> BudgetMode:
+    return BudgetMode.EXACT if args.exact_constants else BudgetMode.ROUNDED47
 
 
 def _random_phase(rng: np.random.Generator) -> Phase:
@@ -162,18 +119,37 @@ def _random_phase(rng: np.random.Generator) -> Phase:
     return Phase(rng.bit_generator.random_raw(), DEFAULT_WIDTH)
 
 
-def _run_setup(args: argparse.Namespace) -> tuple[Phase | None, KitaevConfig | EstimatorConfig]:
-    """The fixed phase (None for 'random') and the estimator config, built once per command."""
+def _run_setup(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> tuple[Phase | None, KitaevConfig | EstimatorConfig]:
+    """Check the run flags, then build the fixed phase (None for 'random') and the config."""
+    if args.bits < 1:
+        parser.error("--bits must be positive")
+    for flag in ("degree", "eps", "exact_constants", "feedback", "guard"):
+        if getattr(args, flag) is not None and flag not in _ALGO_FLAGS[args.algo]:
+            takers = "/".join(algo for algo, flags in _ALGO_FLAGS.items() if flag in flags)
+            parser.error(f"--{flag.replace('_', '-')} applies only to {takers}")
+    if args.algo == "aqft" and args.degree is None:
+        parser.error("--degree is required for aqft")
+    if args.reps is not None and args.reps < 1:
+        parser.error("--reps must be positive")
+    if args.guard is not None and args.guard < 0:
+        parser.error("--guard must be nonnegative")
+    if getattr(args, "runs", 1) < 1:
+        parser.error("--runs must be positive")
     phi = None if args.phase == "random" else parse_phase(args.phase)
+    eps = 0.05 if args.eps is None else args.eps
+    reps = None if args.reps is None else round_up_to_odd(args.reps)
     if args.algo == "kitaev":
-        cfg: KitaevConfig | EstimatorConfig = KitaevConfig(
-            n=args.bits, eps=args.eps,
-            trials_per_test=None if args.reps is None else round_up_to_odd(args.reps),
-            exact_constants=args.exact_constants,
-        )
-    else:
-        cfg = _engine_config(args)
-    return phi, cfg
+        return phi, KitaevConfig(args.bits, eps, trials_per_test=reps, mode=_budget_mode(args))
+    overrides = {k: v for k, v in (("reps", reps), ("guard", args.guard)) if v is not None}
+    overrides["feedback"] = Feedback(args.feedback or "estimated")
+    if args.algo == "qft":
+        return phi, full_qft_config(args.bits, **overrides)
+    if args.algo == "aqft":
+        return phi, aqft_config(args.bits, args.degree, **overrides)
+    degree = 3 if args.degree is None else args.degree
+    return phi, constant_precision_config(args.bits, degree, eps, **overrides)
 
 
 def _single_run(
@@ -192,65 +168,64 @@ def _single_run(
     return phi, result, ok
 
 
-def _stage_entries(result: EstimationResult) -> list[dict[str, Any]]:
-    entries: list[dict[str, Any]] = []
-    for record in result.stage_log:
-        if isinstance(record, StageRecord):
-            entries.append(
-                {
-                    "stage": record.stage,
-                    "residual": record.residual.value,
-                    "trials": record.trials,
-                    "ones": record.ones,
-                    "bit": record.bit,
-                }
-            )
-        else:
-            entries.append(
-                {
-                    "stage": record.k,
-                    "sin_estimate": record.sin_estimate,
-                    "cos_estimate": record.cos_estimate,
-                    "phi_tilde": record.phi_tilde.value,
-                    "beta": record.beta,
-                }
-            )
-    return entries
+_RUNS = [("run", "run", 6), ("phi", "phi", 18), ("success", "success", 8), ("tests", "tests", 8)]
+_BUDGETS = [("kitaev_trials", "kitaev", 8), ("const_precision_trials", "const_precision", 16)]
+
+
+def _emit(
+    fmt: str, columns: list[tuple[str, str, int]], rows: list, summary: tuple | None = None
+) -> None:
+    """Print rows as an aligned table, csv, or json objects.
+
+    Each column is (json/csv name, table header, table width).  Floats go
+    through ``_fmt`` in the table and csv.  An optional summary comes as
+    (line, object): the line ends the table, and the csv behind a ``# ``;
+    json then prints ``{"rows": [...], "summary": object}``.
+    """
+    names = [name for name, _, _ in columns]
+    if fmt == "json":
+        objects = [dict(zip(names, row)) for row in rows]
+        payload = objects if summary is None else {"rows": objects, "summary": summary[1]}
+        print(json.dumps(payload, indent=2))
+        return
+    cells = ([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(cells)
+    else:
+        line = " ".join(f"{{:>{width}}}" for _, _, width in columns).format
+        print(line(*(header for _, header, _ in columns)))
+        for row in cells:
+            print(line(*row))
+    if summary is not None:
+        print(f"# {summary[0]}" if fmt == "csv" else summary[0])
 
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_run_config(parser, args)
-    phi, result, ok = _single_run(*_run_setup(args), RngSeed(args.seed))
-    error = estimation_error(result, phi)
+    phi, result, ok = _single_run(*_run_setup(parser, args), RngSeed(args.seed))
     fields = [
         ("algo", args.algo),
         ("phase", _fmt(phi.value)),
         ("bits", str(result.bits)),
         ("estimate", _fmt(result.estimate.value)),
-        ("error", _fmt(error)),
+        ("error", _fmt(estimation_error(result, phi))),
         ("success", int(ok)),
         ("total_tests", result.total_tests),
     ]
-    if args.format == "table":
-        for key, value in fields:
+    if args.format == "csv":
+        _emit("csv", [(key, key, 0) for key, _ in fields], [tuple(value for _, value in fields)])
+    elif args.format == "table":
+        for key, value in fields + [("warning", note) for note in result.warnings]:
             print(f"{key:<12}{value}")
-        for note in result.warnings:
-            print(f"{'warning':<12}{note}")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([key for key, _ in fields])
-        writer.writerow([value for _, value in fields])
     else:
-        payload = dict(fields)
-        payload["warnings"] = list(result.warnings)
-        payload["stages"] = _stage_entries(result)
+        payload = dict(fields, warnings=list(result.warnings))
+        payload["stages"] = [record.json_entry() for record in result.stage_log]
         print(json.dumps(payload, indent=2))
     return 0
 
 
 def _wilson_interval(successes: int, runs: int) -> tuple[float, float]:
-    if runs < 1:
-        return 0.0, 1.0
     z2 = _WILSON_Z * _WILSON_Z
     phat = successes / runs
     denom = 1.0 + z2 / runs
@@ -260,95 +235,39 @@ def _wilson_interval(successes: int, runs: int) -> tuple[float, float]:
 
 
 def cmd_montecarlo(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_run_config(parser, args)
-    if args.runs < 1:
-        parser.error("--runs must be positive")
-    fixed_phi, cfg = _run_setup(args)
+    fixed_phi, cfg = _run_setup(parser, args)
     master = RngSeed(args.seed)
     rows = []
-    successes = 0
     for index in range(args.runs):
         phi, result, ok = _single_run(fixed_phi, cfg, derive_run_seed(master, index))
-        successes += int(ok)
         rows.append((index, _fmt(phi.value), int(ok), result.total_tests))
+    successes = sum(row[2] for row in rows)
     rate = successes / args.runs
     low, high = _wilson_interval(successes, args.runs)
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"run": r, "phi": p, "success": s, "tests": t} for r, p, s, t in rows
-            ],
-            "summary": {
-                "runs": args.runs,
-                "successes": successes,
-                "success_rate": rate,
-                "wilson95": [low, high],
-            },
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "table":
-        print(f"{'run':>6} {'phi':>18} {'success':>8} {'tests':>8}")
-        for r, p, s, t in rows:
-            print(f"{r:>6} {p:>18} {s:>8} {t:>8}")
-        print(
-            f"summary: runs={args.runs} successes={successes} "
-            f"rate={_fmt(rate)} wilson95=[{_fmt(low)},{_fmt(high)}]"
-        )
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["run", "phi", "success", "tests"])
-        for row in rows:
-            writer.writerow(row)
-        print(
-            f"# summary: runs={args.runs} successes={successes} "
-            f"rate={_fmt(rate)} wilson95=[{_fmt(low)},{_fmt(high)}]"
-        )
+    line = f"summary: runs={args.runs} successes={successes} rate={_fmt(rate)} "
+    line += f"wilson95=[{_fmt(low)},{_fmt(high)}]"
+    totals = dict(runs=args.runs, successes=successes, success_rate=rate, wilson95=[low, high])
+    _emit(args.format, _RUNS, rows, (line, totals))
     return 0
 
 
+def _float_list(parser: argparse.ArgumentParser, flag: str, text: str) -> list[float]:
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        parser.error(f"{flag} must be a comma-separated list of floats")
+
+
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    probs = None
-    if args.probs:
-        try:
-            probs = tuple(float(p) for p in args.probs.split(","))
-        except ValueError:
-            parser.error("--probs must be a comma-separated list of floats")
-    mode = BudgetMode.EXACT if args.exact_constants else BudgetMode.ROUNDED47
-    rows = trials_table(probs, mode)
-    if args.format == "json":
-        payload = [
-            {
-                "success_prob": row.success_prob,
-                "eps": row.eps,
-                "kitaev_trials": row.kitaev_trials,
-                "const_precision_trials": row.const_precision_trials,
-            }
-            for row in rows
-        ]
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["success_prob", "eps", "kitaev_trials", "const_precision_trials"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row.success_prob), _fmt(row.eps), row.kitaev_trials, row.const_precision_trials]
-            )
-    else:
-        print(f"{'success_prob':>14} {'eps':>12} {'kitaev':>8} {'const_precision':>16}")
-        for row in rows:
-            print(
-                f"{_fmt(row.success_prob):>14} {_fmt(row.eps):>12} "
-                f"{row.kitaev_trials:>8} {row.const_precision_trials:>16}"
-            )
+    probs = None if args.probs is None else _float_list(parser, "--probs", args.probs)
+    rows = [astuple(row) for row in trials_table(probs, _budget_mode(args))]
+    _emit(args.format, [("success_prob", "success_prob", 14), ("eps", "eps", 12), *_BUDGETS], rows)
     return 0
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.eps_list:
-        try:
-            grid = [float(e) for e in args.eps_list.split(",")]
-        except ValueError:
-            parser.error("--eps-list must be a comma-separated list of floats")
+    if args.eps_list is not None:
+        grid = _float_list(parser, "--eps-list", args.eps_list)
     else:
         if args.points < 2:
             parser.error("--points must be at least 2")
@@ -356,7 +275,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error("need 0 < --eps-min < --eps-max < 1")
         exponents = np.linspace(math.log10(args.eps_max), math.log10(args.eps_min), args.points)
         grid = [float(10.0**e) for e in exponents]
-    mode = BudgetMode.EXACT if args.exact_constants else BudgetMode.ROUNDED47
+    mode = _budget_mode(args)
     rows = []
     for eps in grid:
         if not 0.0 < eps < 1.0:
@@ -364,21 +283,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         kit = kitaev_trials_per_bit(eps, mode)
         con = const_precision_trials(eps, 3)
         rows.append((eps, kit, con, kit / con))
-    if args.format == "json":
-        payload = [
-            {"eps": e, "kitaev_trials": k, "const_precision_trials": c, "ratio": r}
-            for e, k, c, r in rows
-        ]
-        print(json.dumps(payload, indent=2))
-    elif args.format == "table":
-        print(f"{'eps':>12} {'kitaev':>8} {'const_precision':>16} {'ratio':>10}")
-        for e, k, c, r in rows:
-            print(f"{_fmt(e):>12} {k:>8} {c:>16} {_fmt(r):>10}")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["eps", "kitaev_trials", "const_precision_trials", "ratio"])
-        for e, k, c, r in rows:
-            writer.writerow([_fmt(e), k, c, _fmt(r)])
+    _emit(args.format, [("eps", "eps", 12), *_BUDGETS, ("ratio", "ratio", 10)], rows)
     return 0
 
 

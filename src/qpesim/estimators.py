@@ -93,6 +93,13 @@ class StageRecord:
     ones: int
     bit: int
 
+    def json_entry(self) -> dict[str, Any]:
+        """The stage as ``estimate --format json`` prints it."""
+        return {
+            "stage": self.stage, "residual": self.residual.value, "trials": self.trials,
+            "ones": self.ones, "bit": self.bit,
+        }
+
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -284,9 +291,42 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     )
 
 
-def full_qft_config(n: int) -> EstimatorConfig:
+def full_qft_config(
+    n: int, reps: int = 1, guard: int = 0, feedback: Feedback = Feedback.ESTIMATED
+) -> EstimatorConfig:
     """Textbook QPE: every decided bit feeds corrections (window n-1), one shot per bit."""
-    return EstimatorConfig(n=n, window=n - 1, reps=1, guard=0, feedback=Feedback.ESTIMATED)
+    return EstimatorConfig(n=n, window=n - 1, reps=reps, guard=guard, feedback=feedback)
+
+
+def aqft_config(
+    n: int, degree: int, reps: int = 1, guard: int = 0, feedback: Feedback = Feedback.ESTIMATED
+) -> EstimatorConfig:
+    """Approximate-QFT QPE of the given degree: window degree-1, one shot per bit."""
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
+    return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)
+
+
+def constant_precision_config(
+    n: int, degree: int, eps: float, reps: int | None = None, guard: int | None = None,
+    feedback: Feedback = Feedback.ESTIMATED,
+) -> EstimatorConfig:
+    """Constant-precision QPE: fixed-degree corrections, majority-voted repetitions.
+
+    The per-bit failure budget is eps/n and the repetition count comes
+    from the majority Chernoff inversion (bumped to odd).  Two guard
+    stages keep the reported bits' residuals inside the degree window;
+    ``reps``/``guard`` exist as explicit overrides.  The budget is
+    checked, and its count computed, even when ``reps`` overrides it.
+    """
+    if degree < 3:
+        raise ValueError("degree too small for majority margin")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("failure budget must lie in (0, 1)")
+    trials = round_up_to_odd(const_precision_trials(per_bit_budget(eps, n), degree))
+    reps = trials if reps is None else reps
+    guard = 2 if guard is None else guard
+    return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)
 
 
 def full_qft_estimate(phi: Phase, n: int, rng: Generator) -> EstimationResult:
@@ -295,11 +335,8 @@ def full_qft_estimate(phi: Phase, n: int, rng: Generator) -> EstimationResult:
 
 
 def aqft_estimate(phi: Phase, n: int, degree: int, rng: Generator) -> EstimationResult:
-    """Approximate-QFT QPE of the given degree: window degree-1, one shot per bit."""
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    cfg = EstimatorConfig(n=n, window=degree - 1, reps=1, guard=0, feedback=Feedback.ESTIMATED)
-    return semiclassical_estimate(phi, cfg, rng)
+    """Approximate-QFT QPE run through the engine with :func:`aqft_config`."""
+    return semiclassical_estimate(phi, aqft_config(n, degree), rng)
 
 
 def constant_precision_estimate(
@@ -311,26 +348,8 @@ def constant_precision_estimate(
     reps: int | None = None,
     guard: int | None = None,
 ) -> EstimationResult:
-    """Constant-precision QPE: fixed-degree corrections, majority-voted repetitions.
-
-    The per-bit failure budget is eps/n and the repetition count comes
-    from the majority Chernoff inversion (bumped to odd).  Two guard
-    stages keep the reported bits' residuals inside the degree window;
-    ``reps``/``guard`` exist as explicit overrides.
-    """
-    if degree < 3:
-        raise ValueError("degree too small for majority margin")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("failure budget must lie in (0, 1)")
-    if reps is None:
-        reps = round_up_to_odd(const_precision_trials(per_bit_budget(eps, n), degree))
-    cfg = EstimatorConfig(
-        n=n,
-        window=degree - 1,
-        reps=reps,
-        guard=2 if guard is None else guard,
-        feedback=Feedback.ESTIMATED,
-    )
+    """Constant-precision QPE run through the engine with :func:`constant_precision_config`."""
+    cfg = constant_precision_config(n, degree, eps, reps=reps, guard=guard)
     return semiclassical_estimate(phi, cfg, rng)
 
 

@@ -38,11 +38,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from numpy.random import Generator
 
-from .bounds import finite_ceil, kitaev_accuracy_threshold
+from .bounds import BudgetMode, finite_ceil, kitaev_coefficient
 from .estimators import EstimationResult, estimate_phase
 from .phase import (
     DEFAULT_WIDTH,
@@ -65,6 +65,13 @@ class StageEstimate:
     phi_tilde: Phase
     beta: int
 
+    def json_entry(self) -> dict[str, Any]:
+        """The stage as ``estimate --format json`` prints it."""
+        return {
+            "stage": self.k, "sin_estimate": self.sin_estimate, "cos_estimate": self.cos_estimate,
+            "phi_tilde": self.phi_tilde.value, "beta": self.beta,
+        }
+
 
 @dataclass(frozen=True)
 class KitaevConfig:
@@ -74,7 +81,7 @@ class KitaevConfig:
     eps: float
     trials_per_test: int | None = None
     width: int = DEFAULT_WIDTH
-    exact_constants: bool = False
+    mode: BudgetMode = BudgetMode.ROUNDED47
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -88,15 +95,14 @@ class KitaevConfig:
 
 
 def trials_per_basis(cfg: KitaevConfig) -> int:
-    """Per-basis trial count m1: half the per-bit budget at per-stage budget eps/n."""
+    """Per-basis trial count m1: half the per-bit budget at per-stage budget eps/n.
+
+    The engine's rounding: each basis rounded up, 2*169 = 338 tests per bit at
+    n = 16, eps = 0.05, where the table's ``kitaev_trials_per_bit`` gives 337.
+    """
     if cfg.trials_per_test is not None:
         return cfg.trials_per_test
-    if cfg.exact_constants:
-        delta = kitaev_accuracy_threshold()
-        coeff = 1.0 / (2.0 * delta * delta)
-    else:
-        coeff = 47.0 / 2.0
-    return finite_ceil(coeff * math.log(4.0 * cfg.n / cfg.eps))
+    return finite_ceil(kitaev_coefficient(cfg.mode) / 2.0 * math.log(4.0 * cfg.n / cfg.eps))
 
 
 def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:

@@ -16,6 +16,7 @@ from qpesim.bounds import (
     const_precision_success_per_test,
     const_precision_trials,
     kitaev_accuracy_threshold,
+    kitaev_coefficient,
     kitaev_total_budget,
     kitaev_trials_per_bit,
     per_bit_budget,
@@ -72,6 +73,20 @@ class TestKitaevBudget:
 
     def test_exact_constant(self):
         assert kitaev_trials_per_bit(0.5, BudgetMode.EXACT) == 97
+
+    def test_coefficient(self):
+        delta = kitaev_accuracy_threshold()
+        assert kitaev_coefficient() == kitaev_coefficient(BudgetMode.ROUNDED47) == 47.0
+        assert kitaev_coefficient(BudgetMode.EXACT) == 2.0 / (2.0 * delta * delta)
+        assert kitaev_coefficient(BudgetMode.EXACT) == pytest.approx(1.0 / delta**2)
+        assert 46.62 < kitaev_coefficient(BudgetMode.EXACT) < 46.63
+
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_per_bit_matches_inline_formula(self, mode):
+        delta = kitaev_accuracy_threshold()
+        coeff = 47.0 if mode is BudgetMode.ROUNDED47 else 2.0 / (2.0 * delta * delta)
+        for eps in (0.9, 0.5, 0.3173, 0.05, 0.0027, 1e-3, 7e-5, 1e-9, 1e-15, 1e-100, 1e-300):
+            assert kitaev_trials_per_bit(eps, mode) == math.ceil(coeff * math.log(4.0 / eps))
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface (subprocesses, and in process via ``main``)."""
 
 from __future__ import annotations
 
@@ -24,6 +24,14 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def csv_rows(output: str) -> list[list[str]]:
     return [line.split(",") for line in output.splitlines() if not line.startswith("#")]
+
+
+def exit_code(argv: list[str]) -> int:
+    """``main``'s exit code, whether it returns it or a usage error raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestEstimate:
@@ -167,6 +175,21 @@ class TestExtremeBudgets:
         assert "qpesim: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--bits", "4", "--eps", "2"),
+            ("--bits", "2", "--eps", "1.5", "--reps", "3"),
+        ],
+        ids=["eps-2", "eps-1.5-reps-3"],
+    )
+    def test_const_budget_outside_unit_interval(self, args, capsys):
+        # eps / n lies in (0, 1), but the overall failure budget does not
+        assert main(["estimate", "--algo", "const", "--phase", "0.5", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qpesim: error: failure budget must lie in (0, 1)\n"
+
     def test_underflowing_per_bit_budget_named(self):
         # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
         proc = run_cli("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5")
@@ -193,6 +216,15 @@ class TestTable:
         proc = run_cli("table", "--probs", "0.5", "--exact-constants", "--format", "csv")
         assert csv_rows(proc.stdout)[1][2:] == ["97", "3"]
 
+    def test_empty_probability_list_rejected(self, capsys):
+        # an explicitly empty list is not the default table
+        assert exit_code(["table", "--probs="]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "qpesim: error: --probs must be a comma-separated list of floats"
+        )
+
     def test_vanishing_success_probability_named(self, capsys):
         # 1 - 1e-320 rounds to 1.0, a failure budget the user never gave
         assert main(["table", "--probs", "1e-320"]) == 1
@@ -207,6 +239,15 @@ class TestCompare:
         rows = csv_rows(proc.stdout)
         assert rows[0] == ["eps", "kitaev_trials", "const_precision_trials", "ratio"]
         assert rows[1][1:3] == ["344", "24"]
+
+    def test_empty_eps_list_rejected(self, capsys):
+        # an explicitly empty list is not the default grid
+        assert exit_code(["compare", "--eps-list="]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "qpesim: error: --eps-list must be a comma-separated list of floats"
+        )
 
     def test_default_grid_monotone(self):
         proc = run_cli("compare")
@@ -419,14 +460,6 @@ class TestCommandGolden:
         assert main(command.split()) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == COMMAND_GOLDEN[command]
-
-
-def exit_code(argv: list[str]) -> int:
-    """``main``'s exit code, whether it returns it or a usage error raises SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 # Each optional flag an algo rejects, with the message recorded before the

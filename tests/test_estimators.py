@@ -14,9 +14,12 @@ from qpesim.estimators import (
     EstimatorConfig,
     Feedback,
     StageRecord,
+    aqft_config,
     aqft_estimate,
+    constant_precision_config,
     constant_precision_estimate,
     estimation_error,
+    full_qft_config,
     full_qft_estimate,
     is_success,
     semiclassical_estimate,
@@ -178,6 +181,49 @@ class TestWrappers:
         result = constant_precision_estimate(phi, 3, 3, 0.05, gen(7))
         assert str(result.bits) == "101"
         assert all(record.ones in (0, record.trials) for record in result.stage_log)
+
+
+class TestConfigBuilders:
+    def test_defaults(self):
+        assert full_qft_config(6) == EstimatorConfig(n=6, window=5)
+        assert aqft_config(6, 3) == EstimatorConfig(n=6, window=2)
+        # 0.05 over 16 bits: ceil(4 ln 320) = 24 votes, bumped to 25; two guards
+        assert constant_precision_config(16, 3, 0.05) == EstimatorConfig(
+            n=16, window=2, reps=25, guard=2
+        )
+
+    def test_overrides(self):
+        oracle = Feedback.ORACLE
+        assert full_qft_config(6, reps=3, guard=1, feedback=oracle) == EstimatorConfig(
+            n=6, window=5, reps=3, guard=1, feedback=oracle
+        )
+        assert aqft_config(6, 4, reps=5, guard=2, feedback=oracle) == EstimatorConfig(
+            n=6, window=3, reps=5, guard=2, feedback=oracle
+        )
+        assert constant_precision_config(
+            16, 4, 0.05, reps=7, guard=0, feedback=oracle
+        ) == EstimatorConfig(n=16, window=3, reps=7, guard=0, feedback=oracle)
+
+    def test_budget_outside_unit_interval_rejected(self):
+        # eps / n lies in (0, 1) for both; the overall budget does not
+        for n, eps, reps in ((4, 2.0, None), (2, 1.5, 3)):
+            with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
+                constant_precision_config(n, 3, eps, reps=reps)
+
+    def test_override_still_checks_budget(self):
+        # the budget's count is computed even when reps overrides it
+        with pytest.raises(ValueError, match="too small"):
+            constant_precision_config(4, 3, 1e-320, reps=3)
+
+    def test_wrappers_build_through_the_builders(self):
+        phi = parse_phase("0.703125")
+        cfg = constant_precision_config(5, 3, 0.05, reps=5, guard=1)
+        assert constant_precision_estimate(phi, 5, 3, 0.05, gen(8), reps=5, guard=1) == (
+            semiclassical_estimate(phi, cfg, gen(8))
+        )
+        assert aqft_estimate(phi, 5, 3, gen(9)) == semiclassical_estimate(
+            phi, aqft_config(5, 3), gen(9)
+        )
 
 
 class TestSuccessPredicate:

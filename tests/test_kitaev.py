@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from qpesim.bounds import BudgetMode, kitaev_accuracy_threshold, kitaev_total_budget
 from qpesim.estimators import EstimationResult
 from qpesim.kitaev import (
     KitaevConfig,
@@ -269,12 +270,27 @@ class TestNoiselessPipeline:
 class TestKitaevEstimate:
     def test_budget_formula(self):
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05)) == 152
-        assert trials_per_basis(KitaevConfig(n=8, eps=0.05, exact_constants=True)) == 151
+        assert trials_per_basis(KitaevConfig(n=8, eps=0.05, mode=BudgetMode.EXACT)) == 151
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, trials_per_test=9)) == 9
 
     def test_overflowing_budget_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             trials_per_basis(KitaevConfig(n=8, eps=1e-320))
+
+    def test_table_and_engine_roundings(self):
+        # the table rounds the whole per-bit budget up, the engine each basis
+        assert kitaev_total_budget(16, 0.05)[0] == 337
+        assert 2 * trials_per_basis(KitaevConfig(16, 0.05)) == 338
+
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_shared_coefficient_matches_inline_formulas(self, mode):
+        # kitaev_coefficient(mode) / 2 is the per-basis coefficient written out for each mode
+        delta = kitaev_accuracy_threshold()
+        coeff = 47.0 / 2.0 if mode is BudgetMode.ROUNDED47 else 1.0 / (2.0 * delta * delta)
+        for n in (1, 2, 3, 5, 8, 13, 16, 31, 40, 58):
+            for eps in (0.9, 0.5, 0.3173, 0.05, 0.0027, 1e-3, 7e-5, 1e-9, 1e-15, 1e-100, 1e-300):
+                expected = math.ceil(coeff * math.log(4.0 * n / eps))
+                assert trials_per_basis(KitaevConfig(n, eps, mode=mode)) == expected, (n, eps)
 
     def test_total_test_accounting(self):
         result = kitaev_estimate(parse_phase("0.101b"), KitaevConfig(n=3, eps=0.3), gen(4))
