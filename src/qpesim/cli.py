@@ -184,9 +184,22 @@ def _emit(
     """
     names = [name for name, _, _ in columns]
     if fmt == "json":
-        objects = [dict(zip(names, row)) for row in rows]
-        payload = objects if summary is None else {"rows": objects, "summary": summary[1]}
-        print(json.dumps(payload, indent=2))
+        # One row object at a time, so the document is never held whole; the
+        # bytes are those of json.dumps(payload, indent=2).
+        encode = json.JSONEncoder(indent=2).encode
+        write = sys.stdout.write
+        outer = "" if summary is None else "  "
+        inner = outer + "  "
+        if summary is not None:
+            write('{\n  "rows": ')
+        opening = "["
+        for row in rows:
+            write(f"{opening}\n{inner}" + encode(dict(zip(names, row))).replace("\n", "\n" + inner))
+            opening = ","
+        write("[]" if opening == "[" else f"\n{outer}]")
+        if summary is not None:
+            write(',\n  "summary": ' + encode(summary[1]).replace("\n", "\n  ") + "\n}")
+        write("\n")
         return
     cells = ([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
     if fmt == "csv":

@@ -12,11 +12,19 @@ probabilities are the same floats that ``double_k`` and
 ``hadamard_probs`` compute, each battery's frequency is its count of
 ones over m1 (the float ``frequency_estimate`` returns), and the
 arctangent is rounded to the phase grid exactly (``phase_from_float``,
-equal to ``phase_from_fraction``).  The snap builds its eight candidate
-eighths once per width, lists the eight ``mod1_distance`` values and
-takes the index of the first minimum, so ties go to the lower eighth.
-Those primitives are the reference that ``TestKitaevReplay`` checks the
-estimator against, bit for bit and draw for draw.
+equal to ``phase_from_fraction``).  The sampled estimates
+1 - 2*(h/m1) and 2*(h/m1) - 1 carry no clamp: for 0 <= h <= m1 they lie
+in [-1, 1] exactly, so a clamp would never act; only the ``exact`` path,
+which reads the probabilities themselves, keeps it.  The snap builds its
+eight candidate eighths once per width, maps ``mod1_distance`` over them
+and takes the index of the first minimum, so ties go to the lower
+eighth.  Those primitives are the reference that ``TestKitaevReplay``
+checks the estimator against, bit for bit and draw for draw.
+
+Each stage returns a ``StageEstimate``, a ``NamedTuple`` because every
+run builds one per stage; the semiclassical ``StageRecord`` stays a
+frozen dataclass, which ``StageLog`` builds only when the log is read.
+Both print, compare and hash by their fields, and neither takes assignment.
 
 The stitch walks on one integer holding the digits decided so far: each
 stage compares the two-digit low candidate with its snapped eighth
@@ -38,7 +46,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from itertools import repeat
+from typing import Any, NamedTuple, Sequence
 
 from numpy.random import Generator
 
@@ -55,8 +64,9 @@ from .phase import (
 from .sampling import run_trials
 
 
-@dataclass(frozen=True)
-class StageEstimate:
+# A NamedTuple, built once per stage of every run; the semiclassical
+# StageRecord stays a dataclass because StageLog builds it only when read.
+class StageEstimate(NamedTuple):
     """Reconstruction of one stage phase from its two trial batteries."""
 
     k: int
@@ -113,7 +123,7 @@ def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:
     """
     if s == 0.0 and t == 0.0:
         raise ValueError("indeterminate angle")
-    turns = (math.atan2(s, t) / (2.0 * math.pi)) % 1.0
+    turns = (math.atan2(s, t) / math.tau) % 1.0
     if turns >= 1.0:  # tiny negative angles round up to 1.0 under fmod
         turns = 0.0
     return phase_from_float(turns, width)
@@ -131,7 +141,7 @@ def snap_beta(phi_tilde: Phase) -> int:
     The candidates are built once per width; all eight distances go
     through ``mod1_distance``, and the first minimum wins.
     """
-    distances = [mod1_distance(phi_tilde, eighth) for eighth in _eighths(phi_tilde.width)]
+    distances = list(map(mod1_distance, repeat(phi_tilde, 8), _eighths(phi_tilde.width)))
     return distances.index(min(distances))
 
 
@@ -149,20 +159,19 @@ def estimate_stage(
     if k < 1:
         raise ValueError("stage index must be positive")
     width = phi.width
-    angle = 2.0 * math.pi * (((phi.raw << (k - 1)) & ((1 << width) - 1)) / (1 << width))
+    span = 1 << width
+    angle = math.tau * (((phi.raw << (k - 1)) & (span - 1)) / span)
     p1_cos = (1.0 - math.cos(angle)) / 2.0
     p1_sin = (1.0 + math.sin(angle)) / 2.0
+    # 2*p0 - 1 and 2*p1 - 1.  A frequency h / m1 (the float frequency_estimate
+    # returns) with 0 <= h <= m1 puts both in [-1, 1] exactly, so only the
+    # exact path keeps the clamp, the maximum-likelihood projection onto [-1, 1].
     if exact:
-        freq_cos = p1_cos
-        freq_sin = p1_sin
+        cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * p1_cos))
+        sin_estimate = min(1.0, max(-1.0, 2.0 * p1_sin - 1.0))
     else:
-        # h / m1 is the float frequency_estimate returns
-        freq_cos = run_trials(p1_cos, m1, rng).h / m1
-        freq_sin = run_trials(p1_sin, m1, rng).h / m1
-    # 2*p0 - 1 and 2*p1 - 1; clamping is the maximum-likelihood projection
-    # onto the valid range (a no-op for frequencies, kept for safety).
-    cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * freq_cos))
-    sin_estimate = min(1.0, max(-1.0, 2.0 * freq_sin - 1.0))
+        cos_estimate = 1.0 - 2.0 * (run_trials(p1_cos, m1, rng).h / m1)
+        sin_estimate = 2.0 * (run_trials(p1_sin, m1, rng).h / m1) - 1.0
     phi_tilde = arctan_phase(sin_estimate, cos_estimate, width)
     return StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, snap_beta(phi_tilde))
 
@@ -187,7 +196,7 @@ def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
     n = len(betas)
     if n < 1:
         raise ValueError("need at least one stage")
-    if any(not 0 <= b <= 7 for b in betas):
+    if min(betas) < 0 or max(betas) > 7:
         raise ValueError("snapped values must lie in 0..7")
     value = betas[-1]  # x_n x_{n+1} x_{n+2}
     flagged: list[str] = []

@@ -22,6 +22,9 @@ DEFAULT_WIDTH = 64
 # representation; estimator front-ends enforce this margin.
 GUARD_BITS = 4
 
+# The values a binary digit may take; BitString checks its digits against it.
+_DIGITS = frozenset((0, 1))
+
 # The eight binary digits of every byte value, most significant first.
 _BYTE_DIGITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) for byte in range(256))
 
@@ -78,7 +81,11 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            valid = _DIGITS.issuperset(self.bits)
+        except TypeError:  # an unhashable digit is not a bit either
+            valid = False
+        if not valid:
             raise ValueError("bits must be 0 or 1")
 
     @classmethod

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qpesim.cli import _random_phase, main
+from qpesim.cli import _emit, _random_phase, main
 from qpesim.sampling import RngSeed, make_generator
 
 
@@ -452,6 +453,25 @@ COMMAND_GOLDEN = {
     "montecarlo --algo kitaev --bits 8 --runs 200 --seed 7 --format table":
         "3bb865b5126b8ce052111a4efb5da041f77d38d5b3b552518a209d9407663188",
 }
+
+
+class TestJsonEmitter:
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [(0, "0.5", 1.25)], [(i, f"{i / 7:.6f}", i / 3) for i in range(5)] + [(5, "x", float("inf"))]],
+        ids=["no rows", "one row", "several rows"],
+    )
+    @pytest.mark.parametrize(
+        "summary",
+        [None, ("runs=6", {"runs": 6, "rate": 0.5, "wilson95": [0.1, 0.9], "nested": {"a": []}})],
+        ids=["list", "with summary"],
+    )
+    def test_matches_json_dumps(self, rows, summary, capsys):
+        columns = [("index", "index", 6), ("phase", "phase", 10), ("value", "value", 8)]
+        _emit("json", columns, rows, summary)
+        objects = [dict(zip(("index", "phase", "value"), row)) for row in rows]
+        payload = objects if summary is None else {"rows": objects, "summary": summary[1]}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestCommandGolden:

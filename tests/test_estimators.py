@@ -455,3 +455,16 @@ class TestStageMemo:
             assert len(tree.probs) + len(tree.leaves) == 64
         finally:
             estimators._stage_tree.cache_clear()
+
+
+class TestPinnedCallCounts:
+    def test_const_run_draws_once_per_stage(self, count_calls):
+        # perfbench/run.py pins n + guard run_trials calls per const run;
+        # repeated runs on one phase go through the stage memo and still draw
+        trials = count_calls(estimators, "run_trials")
+        cfg = constant_precision_config(16, 3, 0.05)
+        assert cfg.n + cfg.guard == 18
+        phases = [Phase(0xB400000000000000)] * 3 + [Phase(0x9E3779B97F4A7C15)] * 3
+        for run, phi in enumerate(phases, start=1):
+            semiclassical_estimate(phi, cfg, gen(run))
+            assert len(trials) == 18 * run

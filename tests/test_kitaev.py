@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from qpesim import kitaev
 from qpesim.bounds import BudgetMode, kitaev_accuracy_threshold, kitaev_total_budget
 from qpesim.estimators import EstimationResult
 from qpesim.kitaev import (
@@ -404,3 +405,48 @@ class TestKitaevReplay:
             reference = _outcome(reference_kitaev, phi, cfg, reference_rng, exact)
             assert engine == reference, f"seed {seed}, phi {phi}"
             assert engine_rng.random() == reference_rng.random()
+
+
+class TestStageEstimateContract:
+    def test_repr(self):
+        record = estimate_stage(Phase(181, 8), 2, 169, gen(0))
+        assert repr(record) == (
+            "StageEstimate(k=2, sin_estimate=0.47928994082840237, "
+            "cos_estimate=-0.8461538461538463, phi_tilde=Phase(raw=107, width=8), beta=3)"
+        )
+
+    def test_equal_records_hash_alike(self):
+        fields = (3, 0.5, -0.25, Phase(5, 8), 1)
+        record, twin = StageEstimate(*fields), StageEstimate(*fields)
+        assert record == twin
+        assert hash(record) == hash(twin) == hash(fields)
+        assert record != StageEstimate(3, 0.5, -0.25, Phase(5, 8), 2)
+
+    def test_fields_are_read_only(self):
+        record = StageEstimate(3, 0.5, -0.25, Phase(5, 8), 1)
+        with pytest.raises(AttributeError):
+            record.beta = 2  # type: ignore[misc]
+
+    def test_json_entry(self):
+        record = StageEstimate(3, 0.5, -0.25, Phase(5, 8), 1)
+        assert record.json_entry() == {
+            "stage": 3, "sin_estimate": 0.5, "cos_estimate": -0.25,
+            "phi_tilde": 0.01953125, "beta": 1,
+        }
+
+
+class TestPinnedCallCounts:
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_stage_calls_per_run(self, n, count_calls):
+        # perfbench/run.py pins n estimate_stage, 2n run_trials and 8n
+        # mod1_distance calls per run.  Phase 0 repeats its vote pairs (the
+        # cosine battery always reads 0), so a memoised snap would fall short.
+        stages = count_calls(kitaev, "estimate_stage")
+        trials = count_calls(kitaev, "run_trials")
+        distances = count_calls(kitaev, "mod1_distance")
+        cfg = KitaevConfig(n=n, eps=0.05, trials_per_test=169)
+        phases = [Phase(0)] * 3 + [Phase(0x9E3779B97F4A7C15)] * 3
+        for run, phi in enumerate(phases, start=1):
+            kitaev_estimate(phi, cfg, gen(run))
+            assert (len(stages), len(trials), len(distances)) == (n * run, 2 * n * run, 8 * n * run)
+        assert {args[1] for args in trials} == {169}

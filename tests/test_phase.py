@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -264,6 +265,16 @@ class TestBitString:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitString((0, 2))
+
+    @pytest.mark.parametrize("digit", [True, 1.0, np.int64(1)], ids=repr)
+    def test_accepts_values_equal_to_a_bit(self, digit):
+        assert BitString((0, digit)).bits == (0, 1)
+
+    @pytest.mark.parametrize("digit", [2, -1, 0.5, "1", None, [1]], ids=repr)
+    def test_rejects_values_not_equal_to_a_bit(self, digit):
+        # an unhashable digit is rejected with the same ValueError
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitString((0, digit))
 
     def test_from_int_matches_digit_loop(self):
         cases = [(v, n) for n in range(13) for v in range(1 << n)]
