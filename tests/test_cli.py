@@ -539,3 +539,48 @@ class TestValidate:
     def test_rejects_large_register(self):
         proc = run_cli("validate", "--bits", "12")
         assert proc.returncode == 1
+
+
+# (exit code, sha256 of stdout) of each validate command line below, recorded
+# before the exact oracle dropped its per-call index array and mask and the
+# sampled tally moved to a Python list.  The printed figures (closed-vs-direct
+# gap, TV distance, grid minimum) carry every digit the oracle and the tally
+# produce, so a changed float changes the digest.
+VALIDATE_GOLDEN = {
+    "validate --samples 2000 --seed 3":
+        (0, "cd7e56c52338f7688242d849e734bd811b0b680348afd7b47595b3356cb710f1"),
+    "validate --bits 10 --samples 500":
+        (0, "00bcd79ab74b6d3c94fac3f2ebf76b792cf1df0b6d1a0d4b76bf9aabd1182162"),
+    "validate --bits 1 --samples 30 --phase 0.25 --seed 4":
+        (2, "8534511ddc03d6318ac51b1715589c3ed29c9fe55946a544290cec7fa307edb8"),
+    "validate --phase random --samples 1000 --seed 11":
+        (0, "0f2577cb01d7a6f27d27077ebe9822f8cbd753d0e09fd0e580ae526bdd20822c"),
+    "validate --bits 7 --phase 0.1 --samples 3000":
+        (0, "2af4d8367fc5ca94b0e1b7791e14750b747e11fa07977c602fa95996a8eb3fc1"),
+}
+
+
+class TestValidateGolden:
+    @pytest.mark.parametrize("command", list(VALIDATE_GOLDEN))
+    def test_output_matches_golden(self, command, capsys):
+        code = main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == VALIDATE_GOLDEN[command]
+
+
+class TestRuntimeDependencies:
+    def test_validate_loads_neither_scipy_nor_hypothesis(self):
+        # The runtime depends on numpy alone (pyproject.toml); scipy and
+        # hypothesis are test extras and must stay out of the oracle's imports.
+        script = (
+            "import sys\n"
+            "from qpesim.cli import main\n"
+            "code = main(['validate', '--samples', '200'])\n"
+            "loaded = sorted(name for name in ('scipy', 'hypothesis') if name in sys.modules)\n"
+            "print(code, loaded, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"

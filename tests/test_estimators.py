@@ -274,6 +274,44 @@ class TestSampledDistribution:
         assert tv < 0.02
 
 
+class TestEstimationResultContract:
+    def test_repr(self):
+        result = semiclassical_estimate(Phase(181, 8), full_qft_config(2), gen(0))
+        assert repr(result) == (
+            "EstimationResult(bits=BitString(bits=(1, 0)), estimate=Phase(raw=128, width=8), "
+            "stage_log=(StageRecord(stage=2, residual=Phase(raw=106, width=8), trials=1, ones=0, "
+            "bit=0), StageRecord(stage=1, residual=Phase(raw=181, width=8), trials=1, ones=1, "
+            "bit=1)), total_tests=2, warnings=())"
+        )
+
+    def test_equal_results_hash_alike(self):
+        fields = (BitString((1, 0)), Phase(2, 2), (), 4, ("note",))
+        result, twin = EstimationResult(*fields), EstimationResult(*fields)
+        assert result == twin
+        assert hash(result) == hash(twin) == hash(fields)
+        assert result != EstimationResult(*fields[:3], 5, ("note",))
+        assert result != EstimationResult(*fields[:4])
+
+    def test_fields_are_read_only(self):
+        result = EstimationResult(BitString((1,)), Phase(1, 1), (), 1)
+        with pytest.raises(AttributeError):
+            result.total_tests = 2  # type: ignore[misc]
+
+    def test_keyword_construction_and_default_warnings(self):
+        bits = BitString.from_text("0101")
+        result = EstimationResult(
+            bits=bits, estimate=phase_from_bits(bits), stage_log=(), total_tests=0
+        )
+        assert result.warnings == ()
+        assert (result.bits, result.estimate, result.stage_log, result.total_tests) == (
+            bits, phase_from_bits(bits), (), 0
+        )
+        flagged = EstimationResult(
+            bits=bits, estimate=phase_from_bits(bits), stage_log=(), total_tests=0, warnings=("w",)
+        )
+        assert flagged.warnings == ("w",)
+
+
 def reference_estimate(phi: Phase, cfg: EstimatorConfig, rng) -> EstimationResult:
     """The engine written out from the public primitives, one Phase per step."""
     total_stages = cfg.n + cfg.guard

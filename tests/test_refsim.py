@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from qpesim.estimators import full_qft_config, semiclassical_estimate
 from qpesim.phase import Phase, parse_phase, phase_from_bits
 from qpesim.refsim import (
+    MAX_DENSE_BITS,
+    OutcomeDistribution,
+    _ZERO_OFFSET,
     best_outcome_mass,
     empirical_vs_exact,
     qpe_distribution_exact,
@@ -116,3 +120,80 @@ class TestEmpirical:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             empirical_vs_exact(Phase(0), 11, 10, gen())
+
+
+def reference_distribution(phi: Phase, n: int, method: str = "closed") -> OutcomeDistribution:
+    """The oracle as first written: a fresh index array and a mask on every call."""
+    if not 1 <= n <= MAX_DENSE_BITS:
+        raise ValueError(f"register size must lie in 1..{MAX_DENSE_BITS}")
+    size = 1 << n
+    if method == "closed":
+        offsets = phi.value - np.arange(size) / size
+        offsets -= np.round(offsets)
+        probs = np.ones(size)
+        spread = np.abs(offsets) >= _ZERO_OFFSET
+        d = offsets[spread]
+        probs[spread] = np.sin(size * np.pi * d) ** 2 / (size**2 * np.sin(np.pi * d) ** 2)
+    elif method == "direct":
+        amplitudes = np.exp(2j * np.pi * phi.value * np.arange(size)) / size
+        probs = np.abs(np.fft.fft(amplitudes)) ** 2
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return OutcomeDistribution(n=n, probs=probs)
+
+
+def reference_empirical(phi: Phase, n: int, samples: int, rng) -> float:
+    """The sampled TV distance as first written: a float array bumped once per sample."""
+    if n > 10:
+        raise ValueError("empirical comparison capped at 10 bits")
+    if samples < 1:
+        raise ValueError("sample count must be positive")
+    cfg = full_qft_config(n)
+    shift = phi.width - n
+    counts = np.zeros(1 << n)
+    for _ in range(samples):
+        counts[semiclassical_estimate(phi, cfg, rng).estimate.raw >> shift] += 1
+    exact = reference_distribution(phi, n).probs
+    return 0.5 * float(np.abs(counts / samples - exact).sum())
+
+
+def oracle_phases(n: int) -> list[Phase]:
+    """Grid points of an n-bit register, each one raw unit off (the zero-offset
+    branch), midpoints, the ends of the circle and 200 random 64-bit phases."""
+    size = 1 << n
+    step = 64 - n
+    grid = sorted({0, 1, size // 2, size - 1} | set(range(0, size, max(1, size // 32))))
+    phases = [Phase(j << step) for j in grid]
+    phases += [Phase((j << step) + 1) for j in grid]
+    phases += [Phase(((j << step) - 1) % (1 << 64)) for j in grid]
+    phases += [midpoint(j, n) for j in grid]
+    phases += [Phase(1), Phase((1 << 64) - 1), Phase(5, 8), Phase(255, 8)]
+    words = np.random.default_rng(0x5EED + n).integers(0, 2**64, size=200, dtype=np.uint64)
+    phases += [Phase(int(word)) for word in words]
+    return phases
+
+
+class TestOracleBitIdentity:
+    @pytest.mark.parametrize("method", ["closed", "direct"])
+    @pytest.mark.parametrize("n", range(1, MAX_DENSE_BITS + 1))
+    def test_same_bytes_as_reference(self, n, method):
+        for phi in oracle_phases(n):
+            dist = qpe_distribution_exact(phi, n, method)
+            assert dist.n == n
+            assert dist.probs.tobytes() == reference_distribution(phi, n, method).probs.tobytes(), phi
+
+    @pytest.mark.parametrize(
+        "phi,n,samples,seed",
+        [
+            (parse_phase("0.703125"), 5, 3000, 0),
+            (midpoint(2, 3), 3, 2000, 2),
+            (Phase(0), 1, 50, 4),
+            (Phase(0x9E3779B97F4A7C15), 10, 700, 11),
+            (Phase(0x9E3779B97F4A7C15), 7, 1, 5),
+            (Phase(181, 8), 2, 400, 9),
+        ],
+    )
+    def test_empirical_matches_reference(self, phi, n, samples, seed):
+        rng, twin = gen(seed), gen(seed)
+        assert empirical_vs_exact(phi, n, samples, rng) == reference_empirical(phi, n, samples, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
