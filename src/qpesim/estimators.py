@@ -28,7 +28,7 @@ import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from numpy.random import Generator
 
@@ -101,9 +101,13 @@ class StageRecord:
         }
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Estimated bits with the per-stage log and the Hadamard-test count."""
+# A NamedTuple, built once by every run of every engine.
+class EstimationResult(NamedTuple):
+    """Estimated bits with the per-stage log and the Hadamard-test count.
+
+    It prints, compares and hashes by its fields and takes no assignment;
+    as a tuple it also compares equal to a plain tuple of the same fields.
+    """
 
     bits: BitString
     estimate: Phase

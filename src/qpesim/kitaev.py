@@ -30,9 +30,11 @@ The stitch walks on one integer holding the digits decided so far: each
 stage compares the two-digit low candidate with its snapped eighth
 modulo 8 and sets the new leading digit with a single shift.  The
 digits become a ``BitString`` through the byte table of
-``BitString.from_int``, and the estimate ``Phase`` comes from the same
-integer; ``TestStitchReplay`` checks the walk against the digit-by-digit
-stitch on every snapped sequence of up to five stages.
+``BitString.from_int``.  ``stitch_bits`` returns only that string and the
+warnings, so ``kitaev_estimate`` reads the digits back with
+``BitString.to_int`` to build the estimate ``Phase``.  ``TestStitchReplay``
+checks the walk against the digit-by-digit stitch on every snapped
+sequence of up to five stages.
 
 Trial budgets come from a Chernoff inversion and are deliberately
 conservative.  Once a battery has seen at least ten outcomes of each

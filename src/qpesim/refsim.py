@@ -5,10 +5,17 @@ For an n-qubit register the outcome y is measured with probability
 Dirichlet kernel sin^2(2**n*pi*d) / (2**(2n) * sin^2(pi*d)) at offset
 d = phi - y/2**n.  Both that closed form and the direct summation are
 available and must agree; the distribution is dense, so n is capped.
+
+Each register size's outcome indices and grid points y/2**n are built
+once and kept read-only.  The closed form masks out offsets below
+``_ZERO_OFFSET`` (whose outcome has probability 1) only when phi lies
+that close to a grid point; otherwise it runs on the whole offset array,
+with the same expression and so the same floats.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,22 @@ class OutcomeDistribution:
     probs: np.ndarray
 
 
+@functools.cache
+def _outcomes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes 0..2**n-1 and their grid points y/2**n, read-only."""
+    size = 1 << n
+    index = np.arange(size)
+    grid = index / size
+    index.flags.writeable = False
+    grid.flags.writeable = False
+    return index, grid
+
+
+def _dirichlet(d: np.ndarray, size: int) -> np.ndarray:
+    """The closed form sin^2(size*pi*d) / (size^2 * sin^2(pi*d)) at nonzero offsets d."""
+    return np.sin(size * np.pi * d) ** 2 / (size**2 * np.sin(np.pi * d) ** 2)
+
+
 def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> OutcomeDistribution:
     """Exact outcome distribution for an n-bit register at eigenphase phi.
 
@@ -40,15 +63,24 @@ def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> Outcom
     if not 1 <= n <= MAX_DENSE_BITS:
         raise ValueError(f"register size must lie in 1..{MAX_DENSE_BITS}")
     size = 1 << n
+    index, grid = _outcomes(n)
     if method == "closed":
-        offsets = phi.value - np.arange(size) / size
-        offsets -= np.round(offsets)
-        probs = np.ones(size)
-        spread = np.abs(offsets) >= _ZERO_OFFSET
-        d = offsets[spread]
-        probs[spread] = np.sin(size * np.pi * d) ** 2 / (size**2 * np.sin(np.pi * d) ** 2)
+        value = phi.value
+        offsets = value - grid
+        offsets -= offsets.round()
+        # An offset below _ZERO_OFFSET is computed exactly (Sterbenz), as is
+        # scaled - round(scaled): size times the distance from value to the
+        # nearest grid point.  So this tells, without a scan, whether any
+        # offset needs the mask.
+        scaled = value * size
+        if abs(scaled - round(scaled)) >= _ZERO_OFFSET * size:
+            probs = _dirichlet(offsets, size)
+        else:
+            probs = np.ones(size)
+            spread = np.abs(offsets) >= _ZERO_OFFSET
+            probs[spread] = _dirichlet(offsets[spread], size)
     elif method == "direct":
-        amplitudes = np.exp(2j * np.pi * phi.value * np.arange(size)) / size
+        amplitudes = np.exp(2j * np.pi * phi.value * index) / size
         probs = np.abs(np.fft.fft(amplitudes)) ** 2
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -79,9 +111,9 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
         raise ValueError("sample count must be positive")
     cfg = full_qft_config(n)
     shift = phi.width - n
-    counts = np.zeros(1 << n)
+    counts = [0] * (1 << n)
     for _ in range(samples):
         # the estimate's top n bits are the outcome, without a loop over the bits
         counts[semiclassical_estimate(phi, cfg, rng).estimate.raw >> shift] += 1
     exact = qpe_distribution_exact(phi, n).probs
-    return 0.5 * float(np.abs(counts / samples - exact).sum())
+    return 0.5 * float(np.abs(np.array(counts) / samples - exact).sum())

@@ -291,6 +291,7 @@ class TestEstimationResultContract:
         assert hash(result) == hash(twin) == hash(fields)
         assert result != EstimationResult(*fields[:3], 5, ("note",))
         assert result != EstimationResult(*fields[:4])
+        assert result == fields  # a NamedTuple: equal to the plain tuple of its fields
 
     def test_fields_are_read_only(self):
         result = EstimationResult(BitString((1,)), Phase(1, 1), (), 1)

@@ -159,13 +159,17 @@ def reference_empirical(phi: Phase, n: int, samples: int, rng) -> float:
 
 def oracle_phases(n: int) -> list[Phase]:
     """Grid points of an n-bit register, each one raw unit off (the zero-offset
-    branch), midpoints, the ends of the circle and 200 random 64-bit phases."""
+    branch) and on either side of _ZERO_OFFSET, midpoints, the ends of the
+    circle and 200 random 64-bit phases."""
     size = 1 << n
     step = 64 - n
     grid = sorted({0, 1, size // 2, size - 1} | set(range(0, size, max(1, size // 32))))
     phases = [Phase(j << step) for j in grid]
     phases += [Phase((j << step) + 1) for j in grid]
     phases += [Phase(((j << step) - 1) % (1 << 64)) for j in grid]
+    # 16 raw units is _ZERO_OFFSET itself at width 64
+    phases += [Phase(((j << step) + units) % (1 << 64)) for j in grid for units in (-16, -15, 15, 16)]
+    phases += [Phase((j << (128 - n)) + 1, 128) for j in grid]
     phases += [midpoint(j, n) for j in grid]
     phases += [Phase(1), Phase((1 << 64) - 1), Phase(5, 8), Phase(255, 8)]
     words = np.random.default_rng(0x5EED + n).integers(0, 2**64, size=200, dtype=np.uint64)
