@@ -34,11 +34,8 @@ from .estimators import (
     Feedback,
     StageRecord,
     aqft_config,
-    aqft_estimate,
     constant_precision_config,
-    constant_precision_estimate,
     estimation_error,
-    full_qft_estimate,
     is_success,
     semiclassical_estimate,
 )

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 # Success probabilities of the published per-bit trial table.
 TABLE_SUCCESS_PROBS = (0.50000, 0.68269, 0.95450, 0.99730, 0.99993)
 
+# Failure budget and constant-precision degree used when none is given.
+DEFAULT_EPS = 0.05
+DEFAULT_DEGREE = 3
+
 
 class BudgetMode(enum.Enum):
     """Constant used in the per-bit budget of the two-basis estimator.
@@ -203,7 +207,7 @@ def trials_table(
                 success_prob=p,
                 eps=eps,
                 kitaev_trials=kitaev_trials_per_bit(eps, mode),
-                const_precision_trials=const_precision_trials(eps, 3),
+                const_precision_trials=const_precision_trials(eps, DEFAULT_DEGREE),
             )
         )
     return rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from typing import Any
 import numpy as np
 
 from .bounds import (
+    DEFAULT_DEGREE,
+    DEFAULT_EPS,
     BudgetMode,
     const_precision_trials,
     kitaev_trials_per_bit,
@@ -37,10 +40,8 @@ from .estimators import (
     constant_precision_config,
     estimation_error,
     full_qft_config,
-    is_success,
-    semiclassical_estimate,
 )
-from .kitaev import KitaevConfig, kitaev_estimate, within_guarantee
+from .kitaev import KitaevConfig
 from .phase import DEFAULT_WIDTH, Phase, parse_phase
 from .refsim import best_outcome_mass, empirical_vs_exact, qpe_distribution_exact
 from .sampling import RngSeed, derive_run_seed, make_generator
@@ -61,21 +62,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# Each algo's library config builder, called as build(bits, **flags given), and
+# the optional run flags it takes (omitted ones are None); others are usage errors.
+_ALGOS = {
+    "kitaev": (KitaevConfig, ("eps", "reps", "exact_constants")),
+    "qft": (full_qft_config, ("reps", "guard", "feedback")),
+    "aqft": (aqft_config, ("degree", "reps", "guard", "feedback")),
+    "const": (constant_precision_config, ("degree", "eps", "reps", "guard", "feedback")),
+}
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--algo", required=True, choices=("kitaev", "qft", "aqft", "const"),
-        help="estimator to run",
-    )
+    parser.add_argument("--algo", required=True, choices=_ALGOS, help="estimator to run")
     parser.add_argument(
         "--phase", default="random",
         help="phase literal (binary 0.101b, decimal in [0,1), raw@width) or 'random'",
     )
     parser.add_argument("--bits", type=int, required=True, help="bits to estimate")
     parser.add_argument(
-        "--eps", type=float, help="overall failure budget (kitaev/const only; default 0.05)"
+        "--eps", type=float,
+        help=f"overall failure budget (kitaev/const only; default {DEFAULT_EPS})",
     )
     parser.add_argument(
-        "--degree", type=int, help="phase-shift degree (aqft: required; const: default 3)"
+        "--degree", type=int,
+        help=f"phase-shift degree (aqft: required; const: default {DEFAULT_DEGREE})",
     )
     parser.add_argument(
         "--reps", type=int,
@@ -94,15 +104,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--exact-constants", action="store_true", default=None,
         help="use the exact budget coefficient instead of the rounded 47 (kitaev)",
     )
-
-
-# The optional run flags each algo accepts (omitted ones are None); others are usage errors.
-_ALGO_FLAGS = {
-    "kitaev": ("eps", "reps", "exact_constants"),
-    "qft": ("reps", "guard", "feedback"),
-    "aqft": ("degree", "reps", "guard", "feedback"),
-    "const": ("degree", "eps", "reps", "guard", "feedback"),
-}
 
 
 def _budget_mode(args: argparse.Namespace) -> BudgetMode:
@@ -125,12 +126,15 @@ def _run_setup(
     """Check the run flags, then build the fixed phase (None for 'random') and the config."""
     if args.bits < 1:
         parser.error("--bits must be positive")
-    for flag in ("degree", "eps", "exact_constants", "feedback", "guard"):
-        if getattr(args, flag) is not None and flag not in _ALGO_FLAGS[args.algo]:
-            takers = "/".join(algo for algo, flags in _ALGO_FLAGS.items() if flag in flags)
+    build, flags = _ALGOS[args.algo]
+    # In name order, so the first rejected flag is the same whatever the algo.
+    for flag in sorted({flag for _, taken in _ALGOS.values() for flag in taken}):
+        if getattr(args, flag) is not None and flag not in flags:
+            takers = "/".join(algo for algo, (_, taken) in _ALGOS.items() if flag in taken)
             parser.error(f"--{flag.replace('_', '-')} applies only to {takers}")
-    if args.algo == "aqft" and args.degree is None:
-        parser.error("--degree is required for aqft")
+    for name, param in inspect.signature(build).parameters.items():
+        if name in flags and param.default is param.empty and getattr(args, name) is None:
+            parser.error(f"--{name} is required for {args.algo}")
     if args.reps is not None and args.reps < 1:
         parser.error("--reps must be positive")
     if args.guard is not None and args.guard < 0:
@@ -138,18 +142,14 @@ def _run_setup(
     if getattr(args, "runs", 1) < 1:
         parser.error("--runs must be positive")
     phi = None if args.phase == "random" else parse_phase(args.phase)
-    eps = 0.05 if args.eps is None else args.eps
-    reps = None if args.reps is None else round_up_to_odd(args.reps)
-    if args.algo == "kitaev":
-        return phi, KitaevConfig(args.bits, eps, trials_per_test=reps, mode=_budget_mode(args))
-    overrides = {k: v for k, v in (("reps", reps), ("guard", args.guard)) if v is not None}
-    overrides["feedback"] = Feedback(args.feedback or "estimated")
-    if args.algo == "qft":
-        return phi, full_qft_config(args.bits, **overrides)
-    if args.algo == "aqft":
-        return phi, aqft_config(args.bits, args.degree, **overrides)
-    degree = 3 if args.degree is None else args.degree
-    return phi, constant_precision_config(args.bits, degree, eps, **overrides)
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    if "reps" in given:
+        given["reps"] = round_up_to_odd(given["reps"])
+    if "feedback" in given:
+        given["feedback"] = Feedback(given["feedback"])
+    if given.pop("exact_constants", False):
+        given["mode"] = BudgetMode.EXACT
+    return phi, build(args.bits, **given)
 
 
 def _single_run(
@@ -159,13 +159,7 @@ def _single_run(
     rng = make_generator(seed)
     if phi is None:
         phi = _random_phase(rng)
-    if isinstance(cfg, KitaevConfig):
-        result = kitaev_estimate(phi, cfg, rng)
-        ok = within_guarantee(result, phi, cfg.n)
-    else:
-        result = semiclassical_estimate(phi, cfg, rng)
-        ok = is_success(result, phi, cfg.n)
-    return phi, result, ok
+    return (phi, *cfg.run(phi, rng))
 
 
 _RUNS = [("run", "run", 6), ("phi", "phi", 18), ("success", "success", 8), ("tests", "tests", 8)]
@@ -294,7 +288,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not 0.0 < eps < 1.0:
             parser.error("eps values must lie in (0, 1)")
         kit = kitaev_trials_per_bit(eps, mode)
-        con = const_precision_trials(eps, 3)
+        con = const_precision_trials(eps, DEFAULT_DEGREE)
         rows.append((eps, kit, con, kit / con))
     _emit(args.format, [("eps", "eps", 12), *_BUDGETS, ("ratio", "ratio", 10)], rows)
     return 0

@@ -32,7 +32,13 @@ from typing import Any, NamedTuple
 
 from numpy.random import Generator
 
-from .bounds import const_precision_trials, per_bit_budget, round_up_to_odd
+from .bounds import (
+    DEFAULT_DEGREE,
+    DEFAULT_EPS,
+    const_precision_trials,
+    per_bit_budget,
+    round_up_to_odd,
+)
 from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
 from .sampling import run_trials
 
@@ -81,6 +87,11 @@ class EstimatorConfig:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
+        """One engine run and its :func:`is_success`, both looked up by name when called."""
+        result = semiclassical_estimate(phi, self, rng)
+        return result, is_success(result, phi, self.n)
 
 
 @dataclass(frozen=True)
@@ -312,8 +323,8 @@ def aqft_config(
 
 
 def constant_precision_config(
-    n: int, degree: int, eps: float, reps: int | None = None, guard: int | None = None,
-    feedback: Feedback = Feedback.ESTIMATED,
+    n: int, degree: int = DEFAULT_DEGREE, eps: float = DEFAULT_EPS, reps: int | None = None,
+    guard: int | None = None, feedback: Feedback = Feedback.ESTIMATED,
 ) -> EstimatorConfig:
     """Constant-precision QPE: fixed-degree corrections, majority-voted repetitions.
 
@@ -331,30 +342,6 @@ def constant_precision_config(
     reps = trials if reps is None else reps
     guard = 2 if guard is None else guard
     return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)
-
-
-def full_qft_estimate(phi: Phase, n: int, rng: Generator) -> EstimationResult:
-    """Textbook QPE run through the engine with :func:`full_qft_config`."""
-    return semiclassical_estimate(phi, full_qft_config(n), rng)
-
-
-def aqft_estimate(phi: Phase, n: int, degree: int, rng: Generator) -> EstimationResult:
-    """Approximate-QFT QPE run through the engine with :func:`aqft_config`."""
-    return semiclassical_estimate(phi, aqft_config(n, degree), rng)
-
-
-def constant_precision_estimate(
-    phi: Phase,
-    n: int,
-    degree: int,
-    eps: float,
-    rng: Generator,
-    reps: int | None = None,
-    guard: int | None = None,
-) -> EstimationResult:
-    """Constant-precision QPE run through the engine with :func:`constant_precision_config`."""
-    cfg = constant_precision_config(n, degree, eps, reps=reps, guard=guard)
-    return semiclassical_estimate(phi, cfg, rng)
 
 
 def estimate_phase(result: EstimationResult, width: int) -> Phase:

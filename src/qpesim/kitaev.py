@@ -53,7 +53,7 @@ from typing import Any, NamedTuple, Sequence
 
 from numpy.random import Generator
 
-from .bounds import BudgetMode, finite_ceil, kitaev_coefficient
+from .bounds import DEFAULT_EPS, BudgetMode, finite_ceil, kitaev_coefficient
 from .estimators import EstimationResult, estimate_phase
 from .phase import (
     DEFAULT_WIDTH,
@@ -87,11 +87,11 @@ class StageEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class KitaevConfig:
-    """Target bit count, overall failure budget, and optional budget overrides."""
+    """Target bit count, overall failure budget, and overrides (``reps``: per-basis trials)."""
 
     n: int
-    eps: float
-    trials_per_test: int | None = None
+    eps: float = DEFAULT_EPS
+    reps: int | None = None
     width: int = DEFAULT_WIDTH
     mode: BudgetMode = BudgetMode.ROUNDED47
 
@@ -100,10 +100,15 @@ class KitaevConfig:
             raise ValueError("bit count must be positive")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("failure budget must lie in (0, 1)")
-        if self.trials_per_test is not None and self.trials_per_test < 1:
-            raise ValueError("trials per test must be positive")
+        if self.reps is not None and self.reps < 1:
+            raise ValueError("per-basis trials must be positive")
         if self.n + 2 > self.width - GUARD_BITS:
             raise ValueError("bit count too large for phase width")
+
+    def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
+        """One engine run and its :func:`within_guarantee`, both looked up by name when called."""
+        result = kitaev_estimate(phi, self, rng)
+        return result, within_guarantee(result, phi, self.n)
 
 
 def trials_per_basis(cfg: KitaevConfig) -> int:
@@ -112,8 +117,8 @@ def trials_per_basis(cfg: KitaevConfig) -> int:
     The engine's rounding: each basis rounded up, 2*169 = 338 tests per bit at
     n = 16, eps = 0.05, where the table's ``kitaev_trials_per_bit`` gives 337.
     """
-    if cfg.trials_per_test is not None:
-        return cfg.trials_per_test
+    if cfg.reps is not None:
+        return cfg.reps
     return finite_ceil(kitaev_coefficient(cfg.mode) / 2.0 * math.log(4.0 * cfg.n / cfg.eps))
 
 

@@ -31,6 +31,9 @@ _BYTE_DIGITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) fo
 _BINARY_LITERAL = re.compile(r"^0\.([01]+)b$")
 _RAW_LITERAL = re.compile(r"^(\d+)@(\d+)$")
 
+# Widest raw@width literal: a Phase builds 2**width, so a huge width would exhaust memory.
+MAX_LITERAL_WIDTH = 4096
+
 
 class TestBasis(enum.Enum):
     """Measurement basis of a single-ancilla Hadamard test.
@@ -188,8 +191,9 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
 
     Three forms are accepted: a binary fraction with ``b`` suffix
     (``0.101101b``, exact), a raw/width pair (``181@8`` meaning 181/2**8,
-    exact, width taken from the literal), or a decimal in [0, 1)
-    (rounded to the nearest width-bit value, ties to even).
+    exact, width taken from the literal, at most ``MAX_LITERAL_WIDTH``),
+    or a decimal in [0, 1) (rounded to the nearest width-bit value, ties
+    to even).
     """
     text = text.strip()
     m = _BINARY_LITERAL.match(text)
@@ -197,6 +201,8 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
         return phase_from_bits(BitString.from_text(m.group(1)), width)
     m = _RAW_LITERAL.match(text)
     if m:
+        if int(m.group(2)) > MAX_LITERAL_WIDTH:
+            raise ValueError(f"phase literal width exceeds the cap of {MAX_LITERAL_WIDTH} bits")
         return Phase(int(m.group(1)), int(m.group(2)))
     try:
         value = Fraction(text)

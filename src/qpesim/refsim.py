@@ -16,7 +16,7 @@ with the same expression and so the same floats.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -28,8 +28,8 @@ MAX_DENSE_BITS = 14
 _ZERO_OFFSET = 2.0**-60
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+# A NamedTuple, built on every oracle call.
+class OutcomeDistribution(NamedTuple):
     """Probabilities of the 2**n register outcomes."""
 
     n: int

@@ -15,7 +15,12 @@ import time
 import numpy as np
 
 from qpesim.bounds import trials_table
-from qpesim.estimators import constant_precision_estimate, aqft_estimate, is_success
+from qpesim.estimators import (
+    aqft_config,
+    constant_precision_config,
+    is_success,
+    semiclassical_estimate,
+)
 from qpesim.kitaev import KitaevConfig, kitaev_estimate, within_guarantee
 from qpesim.phase import (
     Phase,
@@ -146,7 +151,7 @@ def test_c06_constant_precision_end_to_end():
     for index in range(runs):
         rng = make_generator(derive_run_seed(master, index))
         phi = _random_phase(rng)
-        result = constant_precision_estimate(phi, 8, 3, 0.05, rng)
+        result = semiclassical_estimate(phi, constant_precision_config(8, 3, 0.05), rng)
         failures += not is_success(result, phi, 8)
     elapsed = time.perf_counter() - start
     _report(
@@ -205,7 +210,7 @@ def test_c09_aqft_empirical_floor():
     for index in range(runs):
         rng = make_generator(derive_run_seed(master, index))
         phi = _random_phase(rng)
-        successes += is_success(aqft_estimate(phi, 8, 5, rng), phi, 8)
+        successes += is_success(semiclassical_estimate(phi, aqft_config(8, 5), rng), phi, 8)
     bound = 4.0 / math.pi**2 - 1.0 / 32.0
     sigma = math.sqrt(bound * (1 - bound) / runs)
     _report(

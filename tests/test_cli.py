@@ -10,7 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from qpesim.cli import _emit, _random_phase, main
+from qpesim import estimators, kitaev
+from qpesim.cli import _emit, _random_phase, _run_setup, build_parser, main
+from qpesim.estimators import constant_precision_config
+from qpesim.kitaev import KitaevConfig, trials_per_basis
 from qpesim.sampling import RngSeed, make_generator
 
 
@@ -167,8 +170,12 @@ class TestExtremeBudgets:
             ("estimate", "--algo", "kitaev", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
             ("estimate", "--algo", "const", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
             ("compare", "--eps-list", "1e-320"),
+            ("estimate", "--algo", "qft", "--bits", "3", "--phase", "1@20000000000"),
         ],
-        ids=["const-degree-2000", "kitaev-eps-1e-320", "const-eps-1e-320", "compare-eps-1e-320"],
+        ids=[
+            "const-degree-2000", "kitaev-eps-1e-320", "const-eps-1e-320", "compare-eps-1e-320",
+            "phase-width-2e10",
+        ],
     )
     def test_error_line_not_traceback(self, args):
         proc = run_cli(*args)
@@ -197,6 +204,62 @@ class TestExtremeBudgets:
         assert proc.returncode == 1
         assert "failure budget too small: the trial count overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestDefaultConfigs:
+    def _config(self, algo: str):
+        parser = build_parser()
+        return _run_setup(parser, parser.parse_args(["estimate", "--algo", algo, "--bits", "16"]))
+
+    def test_const_is_the_library_default(self):
+        phi, cfg = self._config("const")
+        assert phi is None
+        assert cfg == constant_precision_config(16)
+        assert (cfg.reps, cfg.guard) == (25, 2)
+
+    def test_kitaev_is_the_library_default(self):
+        # eps 0.05: ceil(23.5 * ln(4 * 16 / 0.05)) = 169 per basis
+        _, cfg = self._config("kitaev")
+        assert cfg == KitaevConfig(16)
+        assert trials_per_basis(cfg) == 169
+
+
+class TestTracerContract:
+    """The engines and predicates are looked up by name on every run.
+
+    perfbench/tracer.py wraps a function under every name that holds it in
+    every loaded qpesim module; a function object stored elsewhere (in a
+    table, a default argument or a closure) would escape it.
+    """
+
+    @pytest.mark.parametrize("algo", ["kitaev", "qft", "aqft --degree 3", "const"])
+    def test_engine_and_predicate_seen_once_per_run(self, algo, monkeypatch, capsys):
+        counts = {"engine": 0, "predicate": 0}
+
+        def counted(kind, original):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "qpesim"]
+        for home, name, kind in [
+            (estimators, "semiclassical_estimate", "engine"),
+            (estimators, "is_success", "predicate"),
+            (kitaev, "kitaev_estimate", "engine"),
+            (kitaev, "within_guarantee", "predicate"),
+        ]:
+            original = getattr(home, name)
+            wrapper = counted(kind, original)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+        argv = ["montecarlo", "--algo", *algo.split(), "--bits", "4", "--runs", "5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert counts == {"engine": 5, "predicate": 5}
 
 
 class TestTable:

@@ -1,4 +1,4 @@
-"""Tests for the semiclassical measurement-feedback engine and its wrappers."""
+"""Tests for the semiclassical measurement-feedback engine and its config builders."""
 
 from __future__ import annotations
 
@@ -15,12 +15,9 @@ from qpesim.estimators import (
     Feedback,
     StageRecord,
     aqft_config,
-    aqft_estimate,
     constant_precision_config,
-    constant_precision_estimate,
     estimation_error,
     full_qft_config,
-    full_qft_estimate,
     is_success,
     semiclassical_estimate,
 )
@@ -80,7 +77,7 @@ class TestEngineSemantics:
     def test_exact_phase_is_deterministic(self):
         phi = parse_phase("0.101b")
         for seed in range(10):
-            result = full_qft_estimate(phi, 3, gen(seed))
+            result = semiclassical_estimate(phi, full_qft_config(3), gen(seed))
             assert str(result.bits) == "101"
             assert estimation_error(result, phi) == 0.0
 
@@ -122,7 +119,7 @@ class TestEngineSemantics:
                     previous = d
 
     def test_stage_order_and_log(self):
-        result = full_qft_estimate(parse_phase("0.3"), 4, gen(1))
+        result = semiclassical_estimate(parse_phase("0.3"), full_qft_config(4), gen(1))
         assert [record.stage for record in result.stage_log] == [4, 3, 2, 1]
         assert all(record.trials == 1 for record in result.stage_log)
 
@@ -146,39 +143,45 @@ class TestEngineSemantics:
 
 
 class TestWrappers:
+    """The qft/aqft/const builders run through the engine."""
+
     def test_saturated_window_matches_full_qft(self):
         phi = parse_phase("0.61")
         for degree in (6, 8, 11):
-            assert aqft_estimate(phi, 6, degree, gen(4)) == full_qft_estimate(phi, 6, gen(4))
+            assert semiclassical_estimate(phi, aqft_config(6, degree), gen(4)) == (
+                semiclassical_estimate(phi, full_qft_config(6), gen(4))
+            )
 
     def test_aqft_rejects_degree_one(self):
         with pytest.raises(ValueError):
-            aqft_estimate(parse_phase("0.1"), 4, 1, gen())
+            aqft_config(4, 1)
 
     def test_constant_precision_budget(self):
         # overall 0.05 over 5 bits -> per-bit 0.01 -> ceil(4 ln 100) = 19, odd
-        result = constant_precision_estimate(parse_phase("0.703125"), 5, 3, 0.05, gen(5))
+        cfg = constant_precision_config(5, 3, 0.05)
+        result = semiclassical_estimate(parse_phase("0.703125"), cfg, gen(5))
         assert result.total_tests == 19 * (5 + 2)
         record = result.stage_log[0]
         assert record.trials == 19
 
     def test_constant_precision_overrides(self):
         phi = parse_phase("0.703125")
-        result = constant_precision_estimate(phi, 5, 3, 0.05, gen(6), reps=5, guard=0)
+        cfg = constant_precision_config(5, 3, 0.05, reps=5, guard=0)
+        result = semiclassical_estimate(phi, cfg, gen(6))
         assert result.total_tests == 5 * 5
 
     def test_constant_precision_rejects_small_degree(self):
         with pytest.raises(ValueError, match="degree too small"):
-            constant_precision_estimate(parse_phase("0.1"), 4, 2, 0.05, gen())
+            constant_precision_config(4, 2, 0.05)
 
     def test_constant_precision_rejects_underflowing_per_bit_budget(self):
         with pytest.raises(ValueError, match="too small"):
-            constant_precision_estimate(parse_phase("0.5"), 4, 3, 5e-324, gen())
+            constant_precision_config(4, 3, 5e-324)
 
     def test_exact_phase_still_samples(self):
         # degenerate probabilities make the outcome certain, not skipped
         phi = parse_phase("0.101b")
-        result = constant_precision_estimate(phi, 3, 3, 0.05, gen(7))
+        result = semiclassical_estimate(phi, constant_precision_config(3, 3, 0.05), gen(7))
         assert str(result.bits) == "101"
         assert all(record.ones in (0, record.trials) for record in result.stage_log)
 
@@ -215,15 +218,21 @@ class TestConfigBuilders:
         with pytest.raises(ValueError, match="too small"):
             constant_precision_config(4, 3, 1e-320, reps=3)
 
-    def test_wrappers_build_through_the_builders(self):
-        phi = parse_phase("0.703125")
-        cfg = constant_precision_config(5, 3, 0.05, reps=5, guard=1)
-        assert constant_precision_estimate(phi, 5, 3, 0.05, gen(8), reps=5, guard=1) == (
-            semiclassical_estimate(phi, cfg, gen(8))
-        )
-        assert aqft_estimate(phi, 5, 3, gen(9)) == semiclassical_estimate(
-            phi, aqft_config(5, 3), gen(9)
-        )
+    @pytest.mark.parametrize(
+        "cfg",
+        [full_qft_config(5), aqft_config(6, 3), constant_precision_config(5, reps=5, guard=1)],
+        ids=["qft", "aqft", "const"],
+    )
+    @pytest.mark.parametrize("phase", ["0.703125", "0.3"])
+    def test_run_is_engine_plus_predicate(self, cfg, phase):
+        phi = parse_phase(phase)
+        for seed in range(20):
+            rng, twin = gen(seed), gen(seed)
+            result, ok = cfg.run(phi, rng)
+            expected = semiclassical_estimate(phi, cfg, twin)
+            assert result == expected
+            assert ok is is_success(expected, phi, cfg.n)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSuccessPredicate:
@@ -471,7 +480,9 @@ class TestStageMemo:
     def test_runs_after_the_first_share_objects(self):
         estimators._stage_tree.cache_clear()
         phi = parse_phase("0.101b")
-        first, second, third = (full_qft_estimate(phi, 3, gen(seed)) for seed in range(3))
+        first, second, third = (
+            semiclassical_estimate(phi, full_qft_config(3), gen(seed)) for seed in range(3)
+        )
         assert first == second == third
         # the first run on a key stores nothing; the second stores what the third reuses
         assert first.bits is not second.bits

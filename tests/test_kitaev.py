@@ -272,11 +272,23 @@ class TestKitaevEstimate:
     def test_budget_formula(self):
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05)) == 152
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, mode=BudgetMode.EXACT)) == 151
-        assert trials_per_basis(KitaevConfig(n=8, eps=0.05, trials_per_test=9)) == 9
+        assert trials_per_basis(KitaevConfig(n=8, eps=0.05, reps=9)) == 9
 
     def test_overflowing_budget_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             trials_per_basis(KitaevConfig(n=8, eps=1e-320))
+
+    @pytest.mark.parametrize("phase", ["0.703125", "0.3", "0.9999"])
+    def test_run_is_engine_plus_predicate(self, phase):
+        phi = parse_phase(phase)
+        cfg = KitaevConfig(n=4, eps=0.5, reps=3)
+        for seed in range(20):
+            rng, twin = gen(seed), gen(seed)
+            result, ok = cfg.run(phi, rng)
+            expected = kitaev_estimate(phi, cfg, twin)
+            assert result == expected
+            assert ok is within_guarantee(expected, phi, cfg.n)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_table_and_engine_roundings(self):
         # the table rounds the whole per-bit budget up, the engine each basis
@@ -300,7 +312,7 @@ class TestKitaevEstimate:
 
     def test_exact_three_bit_phase_large_budget(self):
         phi = parse_phase("0.101b")
-        cfg = KitaevConfig(n=3, eps=0.5, trials_per_test=10_000)
+        cfg = KitaevConfig(n=3, eps=0.5, reps=10_000)
         result = kitaev_estimate(phi, cfg, gen(5))
         assert str(result.bits) == "10100"
         assert within_guarantee(result, phi, 3)
@@ -333,7 +345,7 @@ class TestKitaevEstimate:
 
     def test_guarantee_is_strict(self):
         phi = parse_phase("0.101b")
-        result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, trials_per_test=2000), gen(6))
+        result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, reps=2000), gen(6))
         err = mod1_distance(phase_from_bits(result.bits), phi)
         assert within_guarantee(result, phi, 3) == (err < 2.0**-5)
 
@@ -393,7 +405,7 @@ class TestKitaevReplay:
     def test_engine_replays_reference(self, n, m1, narrow, exact):
         # the narrow width is the smallest the configuration allows
         width = n + 2 + GUARD_BITS if narrow else 64
-        cfg = KitaevConfig(n=n, eps=0.05, trials_per_test=m1, width=width)
+        cfg = KitaevConfig(n=n, eps=0.05, reps=m1, width=width)
         for seed in range(KITAEV_REPLAY_SEEDS):
             raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
             if seed % 4 == 0:
@@ -444,7 +456,7 @@ class TestPinnedCallCounts:
         stages = count_calls(kitaev, "estimate_stage")
         trials = count_calls(kitaev, "run_trials")
         distances = count_calls(kitaev, "mod1_distance")
-        cfg = KitaevConfig(n=n, eps=0.05, trials_per_test=169)
+        cfg = KitaevConfig(n=n, eps=0.05, reps=169)
         phases = [Phase(0)] * 3 + [Phase(0x9E3779B97F4A7C15)] * 3
         for run, phi in enumerate(phases, start=1):
             kitaev_estimate(phi, cfg, gen(run))

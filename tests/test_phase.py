@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpesim.phase import (
+    MAX_LITERAL_WIDTH,
     BitString,
     Phase,
     corrected_residual,
@@ -83,6 +84,13 @@ class TestParsing:
     def test_raw_width_literal(self):
         phi = parse_phase("181@8")
         assert (phi.raw, phi.width) == (181, 8)
+
+    def test_raw_width_capped(self):
+        assert parse_phase(f"1@{MAX_LITERAL_WIDTH}").width == MAX_LITERAL_WIDTH
+        with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_LITERAL_WIDTH} bits"):
+            parse_phase(f"1@{MAX_LITERAL_WIDTH + 1}")
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            parse_phase("1@20000000000")
 
     def test_rejects_garbage(self):
         for text in ("random", "0.12b", "1.5", "-0.25", "x"):
