@@ -74,11 +74,7 @@ from .refsim import (
 )
 from .sampling import (
     RngSeed,
-    TrialStats,
-    bernoulli,
     derive_run_seed,
-    frequency_estimate,
-    majority,
     make_generator,
     run_trials,
 )

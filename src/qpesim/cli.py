@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import math
@@ -48,6 +49,8 @@ from .sampling import RngSeed, derive_run_seed, make_generator
 
 _FORMATS = ("table", "json", "csv")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# Largest --reps accepted, so a run's trial count stays bounded.
+_MAX_REPS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +140,8 @@ def _run_setup(
             parser.error(f"--{name} is required for {args.algo}")
     if args.reps is not None and args.reps < 1:
         parser.error("--reps must be positive")
+    if args.reps is not None and args.reps > _MAX_REPS:
+        parser.error(f"--reps must be at most {_MAX_REPS}")
     if args.guard is not None and args.guard < 0:
         parser.error("--guard must be nonnegative")
     if getattr(args, "runs", 1) < 1:
@@ -348,18 +353,18 @@ def build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="run one estimator invocation")
     _add_run_arguments(est)
-    est.set_defaults(handler=cmd_estimate)
+    est.set_defaults(handler=functools.partial(cmd_estimate, est))
 
     mc = sub.add_parser("montecarlo", help="independent repeated runs with derived seeds")
     _add_run_arguments(mc)
     mc.add_argument("--runs", type=int, default=100, help="number of independent runs")
-    mc.set_defaults(handler=cmd_montecarlo)
+    mc.set_defaults(handler=functools.partial(cmd_montecarlo, mc))
 
     tab = sub.add_parser("table", help="per-bit trial budgets at fixed success probabilities")
     tab.add_argument("--probs", default=None, help="comma-separated success probabilities")
     tab.add_argument("--exact-constants", action="store_true")
     tab.add_argument("--format", choices=_FORMATS, default="table")
-    tab.set_defaults(handler=cmd_table)
+    tab.set_defaults(handler=functools.partial(cmd_table, tab))
 
     cmp_ = sub.add_parser("compare", help="trial budgets of both estimators over an eps grid")
     cmp_.add_argument("--eps-max", type=float, default=1e-1)
@@ -368,14 +373,14 @@ def build_parser() -> _Parser:
     cmp_.add_argument("--eps-list", default=None, help="explicit comma-separated eps grid")
     cmp_.add_argument("--exact-constants", action="store_true")
     cmp_.add_argument("--format", choices=_FORMATS, default="csv")
-    cmp_.set_defaults(handler=cmd_compare)
+    cmp_.set_defaults(handler=functools.partial(cmd_compare, cmp_))
 
     val = sub.add_parser("validate", help="oracle self-checks of the exact reference")
     val.add_argument("--bits", type=int, default=5)
     val.add_argument("--samples", type=int, default=50000)
     val.add_argument("--phase", default="0.703125")
     val.add_argument("--seed", type=int, default=0)
-    val.set_defaults(handler=cmd_validate)
+    val.set_defaults(handler=functools.partial(cmd_validate, val))
 
     return parser
 
@@ -384,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(parser, args)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone surfaces here, not at exit
         return code
     except BrokenPipeError:

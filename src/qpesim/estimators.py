@@ -7,9 +7,10 @@ applies inverse phase corrections controlled by the most recent
 ``reps`` repetitions.  Guard stages are extra low-order bits estimated
 first and dropped from the reported result.
 
-A run keeps only its per-stage vote counts; its ``stage_log`` is a
-:class:`StageLog` that builds the ``StageRecord``s when first read, so
-campaigns that never read the log build no residual ``Phase``.
+A run keeps only its per-stage vote counts and its decided bits; its
+``stage_log`` is a :class:`StageLog` that builds the ``StageRecord``s
+when first read, so campaigns that never read the log build no residual
+``Phase``.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So runs on the same
@@ -130,43 +131,49 @@ class EstimationResult(NamedTuple):
 class StageLog(Sequence[StageRecord]):
     """The ``StageRecord``s of one semiclassical run, built when first read.
 
-    A run keeps only its per-stage vote counts ``ones``; the records come
-    back from ``(raw, width, cfg, ones)`` with the engine's own
-    arithmetic (each bit is the majority of its count, ORACLE window bits
-    are read from ``raw``) and are cached on first read.  The log behaves
-    as the tuple of those records: length, indexing, slicing, iteration,
-    ``repr``, ``==`` (in either operand order) and ``hash``.
+    A run keeps only its per-stage vote counts ``ones`` and its decided
+    integer (x_i at bit ``width - i``, aligned with ``raw``).  Each record
+    reads its bit from that integer and its correction window from it
+    (from ``raw`` under ORACLE feedback) with the engine's expressions;
+    the records are cached on first read.  The log behaves as the tuple
+    of those records: length, indexing, slicing, iteration, ``repr``,
+    ``==`` (in either operand order) and ``hash``.
     """
 
-    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_records")
+    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_decided", "_records")
 
-    def __init__(self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...]) -> None:
+    def __init__(
+        self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...], decided: int
+    ) -> None:
         self._raw = raw
         self._width = width
         self._cfg = cfg
         self._ones = ones
+        self._decided = decided
         self._records: tuple[StageRecord, ...] | None = None
 
     def _built(self) -> tuple[StageRecord, ...]:
         if self._records is None:
-            raw, width, cfg = self._raw, self._width, self._cfg
+            raw, width, cfg, decided = self._raw, self._width, self._cfg, self._decided
             window = cfg.window
             mask = (1 << width) - 1
             shift = width - 1 - window
             window_mask = (1 << window) - 1
-            oracle = cfg.feedback is Feedback.ORACLE
-            reps = cfg.reps
-            window_bits = 0
-            records = []
-            for i, h in zip(range(cfg.n + cfg.guard, 0, -1), self._ones):
-                if oracle:
-                    window_bits = (raw >> (width - i - window)) & window_mask
-                residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
-                bit = 1 if 2 * h > reps else 0
-                records.append(StageRecord(i, Phase(residual, width), reps, h, bit))
-                if window:
-                    window_bits = (bit << (window - 1)) | (window_bits >> 1)
-            self._records = tuple(records)
+            source = raw if cfg.feedback is Feedback.ORACLE else decided
+            self._records = tuple(
+                StageRecord(
+                    i,
+                    Phase(
+                        ((raw << (i - 1))
+                         - (((source >> (width - i - window)) & window_mask) << shift)) & mask,
+                        width,
+                    ),
+                    cfg.reps,
+                    h,
+                    (decided >> (width - i)) & 1,
+                )
+                for i, h in zip(range(cfg.n + cfg.guard, 0, -1), self._ones)
+            )
         return self._records
 
     def __len__(self) -> int:
@@ -226,18 +233,22 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     and the majority becomes bit x_i.  Guard bits are dropped from the
     reported string.
 
-    Stages run on the raw integer of phi: the correction bits
-    x_{i+1} .. x_{i+window} are kept as one integer (x_{i+1} most
-    significant), shifted in as each bit is decided, and the residual is
+    Stages run on the raw integer of phi.  The decided bits are one
+    integer aligned with ``raw`` (x_i at bit ``width - i``), so stage i
+    reads its correction bits x_{i+1} .. x_{i+window} as one window
+    (x_{i+1} most significant) at the same place in ``raw`` (ORACLE) or
+    in the decided integer (ESTIMATED), and the residual is
     ``(2**(i-1) * raw - bits * 2**(width-1-window)) mod 2**width``.
     That is the same integer and the same probability float as
     :func:`~qpesim.phase.double_k`, :func:`~qpesim.phase.corrected_residual`
     and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
-    the replay tests check this engine against.
+    the replay tests check this engine against.  The reported integer is
+    the decided integer's top n bits.
 
-    A run keeps only its vote counts: ``stage_log`` is a :class:`StageLog`
-    that builds the ``StageRecord``s (residual ``Phase`` included) when it
-    is first read, so campaigns that never read the log build none.
+    A run keeps only its vote counts and its decided integer:
+    ``stage_log`` is a :class:`StageLog` that builds the ``StageRecord``s
+    (residual ``Phase`` included) when it is first read, so campaigns that
+    never read the log build none.
 
     The probabilities and outcomes a run computes are memoised per
     ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
@@ -271,12 +282,10 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     window_mask = (1 << window) - 1
     oracle = cfg.feedback is Feedback.ORACLE
     reps = cfg.reps
-    window_bits = 0
-    decided = 0  # x_1 .. x_{n+guard}, x_1 most significant
+    decided = 0  # x_i at bit width - i, aligned with raw
     ones: list[int] = []
     for i in range(total_stages, 0, -1):
-        if oracle:
-            window_bits = (raw >> (width - i - window)) & window_mask
+        window_bits = ((raw if oracle else decided) >> (width - i - window)) & window_mask
         key = (i << window) | window_bits
         p = probs.get(key)
         if p is None:
@@ -285,13 +294,10 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
             if tree.room:
                 tree.room -= 1
                 probs[key] = p
-        h = run_trials(p, reps, rng).h
+        h = run_trials(p, reps, rng)
         ones.append(h)
-        bit = 1 if 2 * h > reps else 0
-        if window:
-            window_bits = (bit << (window - 1)) | (window_bits >> 1)
-        decided |= bit << (total_stages - i)
-    value = decided >> cfg.guard
+        decided |= (2 * h > reps) << (width - i)
+    value = decided >> (width - cfg.n)
     leaf = tree.leaves.get(value)
     if leaf is None:
         leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
@@ -301,7 +307,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     return EstimationResult(
         bits=leaf[0],
         estimate=leaf[1],
-        stage_log=StageLog(raw, width, cfg, tuple(ones)),
+        stage_log=StageLog(raw, width, cfg, tuple(ones), decided),
         total_tests=reps * total_stages,
     )
 

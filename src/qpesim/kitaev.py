@@ -10,15 +10,15 @@ within 1/8 of the true stage phase.
 A stage runs on the raw phase integer: its angle and outcome
 probabilities are the same floats that ``double_k`` and
 ``hadamard_probs`` compute, each battery's frequency is its count of
-ones over m1 (the float ``frequency_estimate`` returns), and the
-arctangent is rounded to the phase grid exactly (``phase_from_float``,
-equal to ``phase_from_fraction``).  The sampled estimates
-1 - 2*(h/m1) and 2*(h/m1) - 1 carry no clamp: for 0 <= h <= m1 they lie
-in [-1, 1] exactly, so a clamp would never act; only the ``exact`` path,
-which reads the probabilities themselves, keeps it.  The snap builds its
-eight candidate eighths once per width, maps ``mod1_distance`` over them
-and takes the index of the first minimum, so ties go to the lower
-eighth.  Those primitives are the reference that ``TestKitaevReplay``
+ones over m1 (or, on the ``exact`` path, its outcome-1 probability),
+and the arctangent is rounded to the phase grid exactly
+(``phase_from_float``, equal to ``phase_from_fraction``).  The
+estimates 1 - 2*f and 2*f - 1 carry no clamp: every frequency f lies in
+[0, 1] (monotone rounding keeps (1 - cos a)/2 and (1 + sin a)/2 there),
+so both lie in [-1, 1] exactly and a clamp would never act.  The snap
+builds its eight candidate eighths once per width, maps
+``mod1_distance`` over them and takes the index of the first minimum,
+so ties go to the lower eighth.  Those primitives are the reference that ``TestKitaevReplay``
 checks the estimator against, bit for bit and draw for draw.
 
 Each stage returns a ``StageEstimate``, a ``NamedTuple`` because every
@@ -170,15 +170,14 @@ def estimate_stage(
     angle = math.tau * (((phi.raw << (k - 1)) & (span - 1)) / span)
     p1_cos = (1.0 - math.cos(angle)) / 2.0
     p1_sin = (1.0 + math.sin(angle)) / 2.0
-    # 2*p0 - 1 and 2*p1 - 1.  A frequency h / m1 (the float frequency_estimate
-    # returns) with 0 <= h <= m1 puts both in [-1, 1] exactly, so only the
-    # exact path keeps the clamp, the maximum-likelihood projection onto [-1, 1].
     if exact:
-        cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * p1_cos))
-        sin_estimate = min(1.0, max(-1.0, 2.0 * p1_sin - 1.0))
+        freq_cos, freq_sin = p1_cos, p1_sin
     else:
-        cos_estimate = 1.0 - 2.0 * (run_trials(p1_cos, m1, rng).h / m1)
-        sin_estimate = 2.0 * (run_trials(p1_sin, m1, rng).h / m1) - 1.0
+        freq_cos = run_trials(p1_cos, m1, rng) / m1
+        freq_sin = run_trials(p1_sin, m1, rng) / m1
+    # 2*p0 - 1 and 2*p1 - 1, each in [-1, 1] as its frequency lies in [0, 1].
+    cos_estimate = 1.0 - 2.0 * freq_cos
+    sin_estimate = 2.0 * freq_sin - 1.0
     phi_tilde = arctan_phase(sin_estimate, cos_estimate, width)
     return StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, snap_beta(phi_tilde))
 

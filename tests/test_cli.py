@@ -198,6 +198,19 @@ class TestExtremeBudgets:
         assert captured.out == ""
         assert captured.err == "qpesim: error: failure budget must lie in (0, 1)\n"
 
+    @pytest.mark.parametrize("algo", ["kitaev", "const"])
+    def test_reps_above_cap_named(self, algo):
+        # a --reps past the cap would run unbounded; it is a usage error instead
+        proc = run_cli(
+            "estimate", "--algo", algo, "--bits", "4", "--reps", "1000000000000000000000",
+            "--phase", "0.5",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "qpesim estimate: error: --reps must be at most 10000000"
+        )
+        assert "Traceback" not in proc.stderr
+
     def test_underflowing_per_bit_budget_named(self):
         # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
         proc = run_cli("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5")
@@ -285,8 +298,9 @@ class TestTable:
         assert exit_code(["table", "--probs="]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: qpesim table ")
         assert captured.err.splitlines()[-1] == (
-            "qpesim: error: --probs must be a comma-separated list of floats"
+            "qpesim table: error: --probs must be a comma-separated list of floats"
         )
 
     def test_vanishing_success_probability_named(self, capsys):
@@ -309,8 +323,9 @@ class TestCompare:
         assert exit_code(["compare", "--eps-list="]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: qpesim compare ")
         assert captured.err.splitlines()[-1] == (
-            "qpesim: error: --eps-list must be a comma-separated list of floats"
+            "qpesim compare: error: --eps-list must be a comma-separated list of floats"
         )
 
     def test_default_grid_monotone(self):
@@ -574,15 +589,18 @@ class TestUsageErrorMatrix:
         assert exit_code(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == f"qpesim: error: {REJECTED_FLAGS[algo, flag]}"
+        assert captured.err.startswith(f"usage: qpesim {command} ")
+        assert captured.err.splitlines()[-1] == (
+            f"qpesim {command}: error: {REJECTED_FLAGS[algo, flag]}"
+        )
 
     def test_first_rejected_flag_named(self, capsys):
         argv = ["estimate", "--algo", "kitaev", "--bits", "4", "--guard", "1", "--feedback",
                 "oracle", "--degree", "3"]
         assert exit_code(argv) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "qpesim: error: --degree applies only to aqft/const"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qpesim estimate ")
+        assert err.splitlines()[-1] == "qpesim estimate: error: --degree applies only to aqft/const"
 
 
 class TestValidate:

@@ -31,7 +31,8 @@ from qpesim.phase import (
     phase_from_bits,
     post_h_prob_one,
 )
-from qpesim.sampling import RngSeed, majority, make_generator, run_trials
+from qpesim.sampling import RngSeed, make_generator, run_trials
+from reference import majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 
@@ -334,9 +335,9 @@ def reference_estimate(phi: Phase, cfg: EstimatorConfig, rng) -> EstimationResul
             available = min(cfg.window, total_stages - i)
             prior = [decided[i + offset] for offset in range(1, available + 1)]
         residual = corrected_residual(double_k(phi, i - 1), prior)
-        stats = run_trials(post_h_prob_one(residual), cfg.reps, rng)
-        decided[i] = majority(stats)
-        log.append(StageRecord(i, residual, stats.t, stats.h, decided[i]))
+        ones = run_trials(post_h_prob_one(residual), cfg.reps, rng)
+        decided[i] = majority(ones, cfg.reps)
+        log.append(StageRecord(i, residual, cfg.reps, ones, decided[i]))
     bits = BitString(tuple(decided[i] for i in range(1, cfg.n + 1)))
     return EstimationResult(
         bits=bits,

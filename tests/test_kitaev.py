@@ -37,7 +37,8 @@ from qpesim.phase import (
     phase_from_fraction,
 )
 from qpesim.phase import TestBasis as Basis
-from qpesim.sampling import RngSeed, frequency_estimate, make_generator, run_trials
+from qpesim.sampling import RngSeed, make_generator, run_trials
+from reference import frequency_estimate
 
 
 def gen(master=0, stream=0):
@@ -361,8 +362,8 @@ def reference_kitaev(phi: Phase, cfg: KitaevConfig, rng, exact: bool) -> Estimat
         if exact:
             freq_cos, freq_sin = p1_cos, p1_sin
         else:
-            freq_cos = frequency_estimate(run_trials(p1_cos, m1, rng))
-            freq_sin = frequency_estimate(run_trials(p1_sin, m1, rng))
+            freq_cos = frequency_estimate(run_trials(p1_cos, m1, rng), m1)
+            freq_sin = frequency_estimate(run_trials(p1_sin, m1, rng), m1)
         cos_estimate = min(1.0, max(-1.0, 1.0 - 2.0 * freq_cos))
         sin_estimate = min(1.0, max(-1.0, 2.0 * freq_sin - 1.0))
         if sin_estimate == 0.0 and cos_estimate == 0.0:
@@ -406,11 +407,15 @@ class TestKitaevReplay:
         # the narrow width is the smallest the configuration allows
         width = n + 2 + GUARD_BITS if narrow else 64
         cfg = KitaevConfig(n=n, eps=0.05, reps=m1, width=width)
-        for seed in range(KITAEV_REPLAY_SEEDS):
-            raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
-            if seed % 4 == 0:
-                # a phase on the n-bit grid puts every stage on a multiple of 1/2**n
-                raw &= ~((1 << (width - n)) - 1)
+        for seed in range(KITAEV_REPLAY_SEEDS + 4):
+            if seed < KITAEV_REPLAY_SEEDS:
+                raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
+                if seed % 4 == 0:
+                    # a phase on the n-bit grid puts every stage on a multiple of 1/2**n
+                    raw &= ~((1 << (width - n)) - 1)
+            else:
+                # the quarter turns, where the stage's cos and sin reach -1, 0 and 1
+                raw = (seed - KITAEV_REPLAY_SEEDS) << (width - 2)
             phi = Phase(raw, width)
             engine_rng, reference_rng = gen(seed), gen(seed)
             engine = _outcome(kitaev_estimate, phi, cfg, engine_rng, exact)
