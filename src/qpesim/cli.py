@@ -51,6 +51,8 @@ _FORMATS = ("table", "json", "csv")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Largest --reps accepted, so a run's trial count stays bounded.
 _MAX_REPS = 10**7
+# Largest compare --points accepted, so the grid and its rows stay bounded.
+_MAX_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,6 +285,8 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     else:
         if args.points < 2:
             parser.error("--points must be at least 2")
+        if args.points > _MAX_POINTS:
+            parser.error(f"--points must be at most {_MAX_POINTS}")
         if not 0 < args.eps_min < args.eps_max < 1:
             parser.error("need 0 < --eps-min < --eps-max < 1")
         exponents = np.linspace(math.log10(args.eps_max), math.log10(args.eps_min), args.points)

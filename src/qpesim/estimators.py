@@ -13,19 +13,19 @@ when first read, so campaigns that never read the log build no residual
 ``Phase``.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
-only its last ``window`` decided bits.  So runs on the same
-``(phi.raw, phi.width, cfg)`` share what earlier runs on that key
-computed: each stage's outcome-one probability per window state, and
-each outcome's ``BitString`` and estimate ``Phase`` (the 8 most recent
-keys, stored from a key's second run on, at most 2**12 entries each).
-Every run still draws its own trials, in the same order, from its own
-generator, so sharing changes no bit.
+only its last ``window`` decided bits.  So a run on the same
+``(phi.raw, phi.width, cfg)`` key as the run before it shares what
+earlier runs on that key computed: each stage's outcome-one probability
+per window state, and each outcome's ``BitString`` and estimate
+``Phase``.  The memo holds one key, stores from that key's second run
+on, and holds at most 2**12 entries.  Every run still draws its own
+trials, in the same order, from its own generator, so sharing changes
+no bit.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -44,9 +44,8 @@ from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
 from .sampling import run_trials
 
 
-# Stage-tree memo bounds: trees kept (least recently used evicted) and
-# entries stored per tree, past which a run computes without storing.
-_MEMO_TREES = 8
+# Entries the stage memo stores for its key, past which a run computes
+# without storing.
 _MEMO_ENTRIES = 1 << 12
 
 
@@ -80,14 +79,6 @@ class EstimatorConfig:
             # window w has degree w+1; degree 2 leaves a cos^2(pi/4) = 1/2
             # per-test floor and no majority margin at all.
             raise ValueError("degree too small for majority margin")
-        # Hashed once, as the stage memo looks the config up on every run.
-        # Only ints and a bool go in, so a pickled config keeps a valid hash
-        # in another process (str hashes, and so Enum hashes, differ there).
-        key = (self.n, self.window, self.reps, self.guard, self.feedback is Feedback.ORACLE)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
         """One engine run and its :func:`is_success`, both looked up by name when called."""
@@ -197,30 +188,12 @@ class StageLog(Sequence[StageRecord]):
         return repr(self._built())
 
 
-class _StageTree:
-    """What runs on one (raw, width, cfg) key have already computed.
-
-    ``probs`` maps a stage i and the window bits entering it, packed as
-    ``i << window | window_bits``, to the stage's outcome-one
-    probability; ``leaves`` maps the reported integer to ``(BitString,
-    estimate Phase)``.  ``room`` counts the probabilities and leaves that
-    may still be stored: none on the key's first run, so campaigns that
-    never repeat a key (random phases) keep nothing alive, and
-    ``_MEMO_ENTRIES`` from its second run on.
-    """
-
-    __slots__ = ("probs", "leaves", "room", "runs")
-
-    def __init__(self) -> None:
-        self.probs: dict[int, float] = {}
-        self.leaves: dict[int, tuple[BitString, Phase]] = {}
-        self.room = 0
-        self.runs = 0
-
-
-@functools.lru_cache(maxsize=_MEMO_TREES)
-def _stage_tree(raw: int, width: int, cfg: EstimatorConfig) -> _StageTree:
-    return _StageTree()
+# The stage memo: the last run's key (phi.raw, phi.width, cfg); per stage
+# and window bits, packed as ``i << window | window_bits``, the outcome-one
+# probability; and per reported integer its (BitString, estimate Phase).
+_memo: tuple[
+    tuple[int, int, EstimatorConfig] | None, dict[int, float], dict[int, tuple[BitString, Phase]]
+] = (None, {}, {})
 
 
 def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> EstimationResult:
@@ -250,12 +223,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     (residual ``Phase`` included) when it is first read, so campaigns that
     never read the log build none.
 
-    The probabilities and outcomes a run computes are memoised per
+    The probabilities and outcomes a run computes are memoised for one
     ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
     probability float, and per reported integer the ``BitString`` and
-    estimate ``Phase``.  The memo keeps the 8 most recently used keys and
-    stores from a key's second run on, at most 2**12 entries per key; a
-    first run, or a run past that cap, computes what it needs without
+    estimate ``Phase``.  A run on another key than the last run's claims
+    the memo with empty tables and stores nothing, so campaigns that
+    never repeat a key (random phases) keep nothing alive; a run on the
+    same key reads the tables and stores into them, at most 2**12
+    entries in all.  A run past that cap computes what it lacks without
     storing it.  Sharing is safe because every memoised value is frozen
     and a function of the key and the stage state alone; the generator
     is never touched, since each stage still calls
@@ -270,12 +245,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
             f"configuration needs {total_stages + window} significant bits; "
             f"width {width} allows {width - GUARD_BITS}"
         )
+    global _memo
     raw = phi.raw
-    tree = _stage_tree(raw, width, cfg)
-    tree.runs += 1
-    if tree.runs == 2:
-        tree.room = _MEMO_ENTRIES
-    probs = tree.probs
+    key = (raw, width, cfg)
+    memo_key, probs, leaves = _memo
+    store = key == memo_key
+    if not store:
+        probs, leaves = {}, {}
+        _memo = (key, probs, leaves)
     span = 1 << width
     mask = span - 1
     shift = width - 1 - window
@@ -286,24 +263,22 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     ones: list[int] = []
     for i in range(total_stages, 0, -1):
         window_bits = ((raw if oracle else decided) >> (width - i - window)) & window_mask
-        key = (i << window) | window_bits
-        p = probs.get(key)
+        state = (i << window) | window_bits
+        p = probs.get(state)
         if p is None:
             residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
             p = math.sin(math.pi * (residual / span)) ** 2
-            if tree.room:
-                tree.room -= 1
-                probs[key] = p
+            if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
+                probs[state] = p
         h = run_trials(p, reps, rng)
         ones.append(h)
         decided |= (2 * h > reps) << (width - i)
     value = decided >> (width - cfg.n)
-    leaf = tree.leaves.get(value)
+    leaf = leaves.get(value)
     if leaf is None:
         leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
-        if tree.room:
-            tree.room -= 1
-            tree.leaves[value] = leaf
+        if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
+            leaves[value] = leaf
     return EstimationResult(
         bits=leaf[0],
         estimate=leaf[1],

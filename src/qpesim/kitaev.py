@@ -92,7 +92,6 @@ class KitaevConfig:
     n: int
     eps: float = DEFAULT_EPS
     reps: int | None = None
-    width: int = DEFAULT_WIDTH
     mode: BudgetMode = BudgetMode.ROUNDED47
 
     def __post_init__(self) -> None:
@@ -102,8 +101,6 @@ class KitaevConfig:
             raise ValueError("failure budget must lie in (0, 1)")
         if self.reps is not None and self.reps < 1:
             raise ValueError("per-basis trials must be positive")
-        if self.n + 2 > self.width - GUARD_BITS:
-            raise ValueError("bit count too large for phase width")
 
     def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
         """One engine run and its :func:`within_guarantee`, both looked up by name when called."""
@@ -219,14 +216,18 @@ def kitaev_estimate(
     phi: Phase, cfg: KitaevConfig, rng: Generator, exact: bool = False
 ) -> EstimationResult:
     """End-to-end estimator: n stage batteries, snap, stitch to n+2 bits."""
-    if phi.width != cfg.width:
-        raise ValueError("phase width does not match configuration width")
+    width = phi.width
+    if cfg.n + 2 > width - GUARD_BITS:
+        raise ValueError(
+            f"configuration needs {cfg.n + 2} significant bits; "
+            f"width {width} allows {width - GUARD_BITS}"
+        )
     m1 = trials_per_basis(cfg)
     stages = [estimate_stage(phi, k, m1, rng, exact=exact) for k in range(1, cfg.n + 1)]
     bits, warnings = stitch_bits([s.beta for s in stages])
     return EstimationResult(
         bits=bits,
-        estimate=Phase(bits.to_int() << (phi.width - cfg.n - 2), phi.width),
+        estimate=Phase(bits.to_int() << (width - cfg.n - 2), width),
         stage_log=tuple(stages),
         total_tests=2 * m1 * cfg.n,
         warnings=warnings,

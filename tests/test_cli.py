@@ -65,6 +65,18 @@ class TestEstimate:
         fields = dict(line.split(None, 1) for line in proc.stdout.splitlines())
         assert len(fields["bits"]) == 5
 
+    def test_kitaev_reads_the_phase_width(self):
+        # a raw@width literal runs kitaev at that width, as it runs qft
+        proc = run_cli("estimate", "--algo", "kitaev", "--bits", "2", "--phase", "181@8")
+        assert proc.returncode == 0 and proc.stderr == ""
+        fields = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+        assert fields["phase"] == "0.70703125"
+        assert len(fields["bits"]) == 4
+        # 5 stitched bits do not fit below width 8 less the 4 guard bits
+        proc = run_cli("estimate", "--algo", "kitaev", "--bits", "3", "--phase", "181@8")
+        assert proc.returncode == 1
+        assert proc.stderr == "qpesim: error: configuration needs 5 significant bits; width 8 allows 4\n"
+
     def test_json_has_stage_log(self):
         import json
 
@@ -327,6 +339,14 @@ class TestCompare:
         assert captured.err.splitlines()[-1] == (
             "qpesim compare: error: --eps-list must be a comma-separated list of floats"
         )
+
+    def test_points_above_cap_named(self, capsys):
+        # a grid past the cap would be built whole before any row prints
+        assert exit_code(["compare", "--points", "100000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qpesim compare ")
+        assert captured.err.splitlines()[-1] == "qpesim compare: error: --points must be at most 1000000"
 
     def test_default_grid_monotone(self):
         proc = run_cli("compare")

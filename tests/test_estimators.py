@@ -425,6 +425,29 @@ class TestFixedPhaseReplay:
             for phi, cfg in keys:
                 _assert_campaign_replays(phi, cfg, seed, 2)
 
+    def test_keys_take_turns(self):
+        # three keys, three runs per visit, visited A, B, C, C, B, A on one stream:
+        # C's second visit reads what its first stored, while B and A come back
+        # to a slot another key took and start over
+        phi = Phase(0x5DEECE66D2B7A3F1, 64)
+        keys = [
+            (phi, EstimatorConfig(n=6, window=5)),
+            (phi, EstimatorConfig(n=5, window=2, reps=3, guard=2, feedback=Feedback.ORACLE)),
+            (Phase(0xB400000000000000), EstimatorConfig(n=6, window=5)),
+        ]
+        for seed in range(40):
+            engine_rng, reference_rng = gen(seed), gen(seed)
+            tables = []
+            for phi, cfg in keys + keys[::-1]:
+                for run in range(3):
+                    assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+                        phi, cfg, reference_rng
+                    ), f"seed {seed}, run {run}, phi {phi}, cfg {cfg}"
+                tables.append(estimators._memo[1])
+            assert engine_rng.random() == reference_rng.random()
+            assert tables[3] is tables[2] and tables[3]
+            assert tables[4] is not tables[1] and tables[5] is not tables[0]
+
     def test_long_full_qft_campaign(self):
         # full QFT at 14 bits off the grid decides its low bits at random:
         # 600 runs reach about 500 distinct stage states and outcomes
@@ -478,8 +501,12 @@ class TestStageLog:
 
 
 class TestStageMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        # an earlier test's key must not turn a first run here into a second
+        monkeypatch.setattr(estimators, "_memo", (None, {}, {}))
+
     def test_runs_after_the_first_share_objects(self):
-        estimators._stage_tree.cache_clear()
         phi = parse_phase("0.101b")
         first, second, third = (
             semiclassical_estimate(phi, full_qft_config(3), gen(seed)) for seed in range(3)
@@ -489,23 +516,45 @@ class TestStageMemo:
         assert first.bits is not second.bits
         assert second.bits is third.bits and second.estimate is third.estimate
         # a phase on the grid decides every run alike: one probability per stage
-        tree = estimators._stage_tree(phi.raw, phi.width, EstimatorConfig(n=3, window=2))
-        assert len(tree.probs) == 3 and len(tree.leaves) == 1
+        key, probs, leaves = estimators._memo
+        assert key == (phi.raw, phi.width, EstimatorConfig(n=3, window=2))
+        assert len(probs) == 3 and len(leaves) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (parse_phase("0.011b"), full_qft_config(3)),
+            (Phase(0b101 << 13, 16), full_qft_config(3)),
+            (parse_phase("0.101b"), full_qft_config(3, feedback=Feedback.ORACLE)),
+        ],
+        ids=["raw", "width", "cfg"],
+    )
+    def test_a_new_key_replaces_the_slot(self, other):
+        phi, cfg = parse_phase("0.101b"), full_qft_config(3)
+        for seed in range(2):
+            semiclassical_estimate(phi, cfg, gen(seed))
+        _, probs, leaves = estimators._memo
+        assert len(probs) == 3 and len(leaves) == 1
+        # the new key claims the slot with empty tables, and its first run stores nothing
+        semiclassical_estimate(*other, gen(2))
+        key, other_probs, other_leaves = estimators._memo
+        assert key == (other[0].raw, other[0].width, other[1])
+        assert other_probs == {} and other_leaves == {} and other_probs is not probs
+        # coming back, the first key starts over: its next run is a first run again
+        third = semiclassical_estimate(phi, cfg, gen(3))
+        assert estimators._memo[1] == {} and estimators._memo[2] == {}
+        assert third.bits is not leaves[0b101][0]
 
     def test_campaign_past_the_entry_cap(self, monkeypatch):
-        # with room for 64 entries the tree fills within the first runs;
+        # with room for 64 entries the slot fills within the first runs;
         # later runs compute what it lacks without storing it
         monkeypatch.setattr(estimators, "_MEMO_ENTRIES", 64)
-        estimators._stage_tree.cache_clear()
         phi = Phase(0x5DEECE66D2B7A3F1, 64)
         cfg = EstimatorConfig(n=14, window=13)
-        try:
-            _assert_campaign_replays(phi, cfg, 1, 300)
-            tree = estimators._stage_tree(phi.raw, phi.width, cfg)
-            assert tree.room == 0
-            assert len(tree.probs) + len(tree.leaves) == 64
-        finally:
-            estimators._stage_tree.cache_clear()
+        _assert_campaign_replays(phi, cfg, 1, 300)
+        key, probs, leaves = estimators._memo
+        assert key == (phi.raw, phi.width, cfg)
+        assert len(probs) + len(leaves) == 64
 
 
 class TestPinnedCallCounts:

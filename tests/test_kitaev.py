@@ -329,10 +329,11 @@ class TestKitaevEstimate:
             KitaevConfig(n=0, eps=0.5)
         with pytest.raises(ValueError):
             KitaevConfig(n=3, eps=1.5)
-        with pytest.raises(ValueError):
-            KitaevConfig(n=59, eps=0.5)  # n + 2 exceeds width - 4
-        with pytest.raises(ValueError, match="width"):
-            kitaev_estimate(Phase(0, 32), KitaevConfig(n=3, eps=0.5), gen())
+        # the config carries no width: the run checks n + 2 against the phase's width - 4
+        with pytest.raises(ValueError, match="needs 61 significant bits; width 64 allows 60"):
+            kitaev_estimate(Phase(0), KitaevConfig(n=59, eps=0.5), gen())
+        with pytest.raises(ValueError, match="needs 29 significant bits; width 32 allows 28"):
+            kitaev_estimate(Phase(0, 32), KitaevConfig(n=27, eps=0.5), gen())
 
     def test_guarantee_on_an_estimate_of_another_width(self):
         phi = parse_phase("0.703125")
@@ -406,7 +407,7 @@ class TestKitaevReplay:
     def test_engine_replays_reference(self, n, m1, narrow, exact):
         # the narrow width is the smallest the configuration allows
         width = n + 2 + GUARD_BITS if narrow else 64
-        cfg = KitaevConfig(n=n, eps=0.05, reps=m1, width=width)
+        cfg = KitaevConfig(n=n, eps=0.05, reps=m1)
         for seed in range(KITAEV_REPLAY_SEEDS + 4):
             if seed < KITAEV_REPLAY_SEEDS:
                 raw = int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width)
