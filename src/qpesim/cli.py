@@ -49,10 +49,13 @@ from .sampling import RngSeed, derive_run_seed, make_generator
 
 _FORMATS = ("table", "json", "csv")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# Largest --reps accepted, so a run's trial count stays bounded.
-_MAX_REPS = 10**7
+# Largest --reps accepted, so a run's trial count stays bounded; odd, so
+# an accepted value rounded up to odd stays within it.
+_MAX_REPS = 10**7 - 1
 # Largest compare --points accepted, so the grid and its rows stay bounded.
 _MAX_POINTS = 10**6
+# Largest validate --samples accepted, so the sampling loop stays bounded.
+_MAX_SAMPLES = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,6 +311,8 @@ def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         parser.error("--bits must lie in 1..10 for validation")
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.samples > _MAX_SAMPLES:
+        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     rng = make_generator(RngSeed(args.seed))
     phi = _random_phase(rng) if args.phase == "random" else parse_phase(args.phase)
 

@@ -21,6 +21,13 @@ per window state, and each outcome's ``BitString`` and estimate
 on, and holds at most 2**12 entries.  Every run still draws its own
 trials, in the same order, from its own generator, so sharing changes
 no bit.
+
+A run draws its ``reps * (n + guard)`` uniforms through one
+:class:`~qpesim.sampling.RunDraws`: one generator call for a run of up
+to 2**16 trials, where one call per stage would cost about a
+microsecond each.  Each stage still counts its votes with one
+:func:`~qpesim.sampling.run_trials` call on that source, and the uniforms
+and the generator's state after the run are those of per-stage draws.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .bounds import (
     round_up_to_odd,
 )
 from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
-from .sampling import run_trials
+from .sampling import RunDraws, run_trials
 
 
 # Entries the stage memo stores for its key, past which a run computes
@@ -232,10 +239,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     same key reads the tables and stores into them, at most 2**12
     entries in all.  A run past that cap computes what it lacks without
     storing it.  Sharing is safe because every memoised value is frozen
-    and a function of the key and the stage state alone; the generator
-    is never touched, since each stage still calls
-    :func:`~qpesim.sampling.run_trials` once, in order, on the run's own
-    ``rng``.
+    and a function of the key and the stage state alone; the memo never
+    touches the generator.
+
+    The run wraps ``rng`` in one :class:`~qpesim.sampling.RunDraws` of
+    ``reps * (n + guard)`` uniforms, and each stage calls
+    :func:`~qpesim.sampling.run_trials` once, in order, on that source.
+    It reads the run's uniforms in the order per-stage draws on ``rng``
+    would, and leaves ``rng`` where they would have left it.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
@@ -259,6 +270,8 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     window_mask = (1 << window) - 1
     oracle = cfg.feedback is Feedback.ORACLE
     reps = cfg.reps
+    tests = reps * total_stages
+    rng = RunDraws(rng, tests)
     decided = 0  # x_i at bit width - i, aligned with raw
     ones: list[int] = []
     for i in range(total_stages, 0, -1):
@@ -283,7 +296,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
         bits=leaf[0],
         estimate=leaf[1],
         stage_log=StageLog(raw, width, cfg, tuple(ones), decided),
-        total_tests=reps * total_stages,
+        total_tests=tests,
     )
 
 

@@ -36,6 +36,19 @@ warnings, so ``kitaev_estimate`` reads the digits back with
 checks the walk against the digit-by-digit stitch on every snapped
 sequence of up to five stages.
 
+Each battery draws its own m1 uniforms from the run's generator; the
+estimator does not read them through a ``sampling.RunDraws`` block, as
+the semiclassical engine does.  A block per stage (2*m1 uniforms) made
+a 16-bit run slower (median 400 -> 410 us per run under ``timeit`` on a
+2-core Xeon, Python 3.11, numpy 2.4): a stage makes only two draws, and
+the block costs more than the one generator call it saves.  A block
+per run was faster (400 -> 370 us), but a run with an even
+``KitaevConfig.reps`` can tie at (m1/2, m1/2) and raise ``indeterminate
+angle`` mid-run; a block per run would leave the generator past the
+failed stage's draws, where ``TestKitaevReplay`` requires it to stop at
+them.  That waits for the tie to become an explicit outcome instead of
+an exception.
+
 Trial budgets come from a Chernoff inversion and are deliberately
 conservative.  Once a battery has seen at least ten outcomes of each
 kind, its binomial statistics admit a normal approximation that would

@@ -2,10 +2,13 @@
 
 ``qpesim.sampling.run_trials`` returns the count h of 1 outcomes in t
 trials; these are the one-draw and count-reading definitions it is
-tested against.
+tested against.  :class:`LoggedGenerator` records the draws a caller
+makes from a generator.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from numpy.random import Generator
 
@@ -36,3 +39,15 @@ def majority(h: int, t: int) -> int:
     if t % 2 == 0:
         raise ValueError("tie-prone trial count")
     return 1 if 2 * h > t else 0
+
+
+class LoggedGenerator:
+    """A generator that logs the ``size`` of each ``random(size)`` call it serves."""
+
+    def __init__(self, rng: Generator) -> None:
+        self.rng = rng
+        self.sizes: list[int | None] = []
+
+    def random(self, size: int | None = None) -> Any:
+        self.sizes.append(size)
+        return self.rng.random(size)

@@ -212,16 +212,17 @@ class TestExtremeBudgets:
 
     @pytest.mark.parametrize("algo", ["kitaev", "const"])
     def test_reps_above_cap_named(self, algo):
-        # a --reps past the cap would run unbounded; it is a usage error instead
-        proc = run_cli(
-            "estimate", "--algo", algo, "--bits", "4", "--reps", "1000000000000000000000",
-            "--phase", "0.5",
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1] == (
-            "qpesim estimate: error: --reps must be at most 10000000"
-        )
-        assert "Traceback" not in proc.stderr
+        # a --reps past the cap would run unbounded; it is a usage error instead.
+        # The cap is odd, so 10**7, which would round up to 10**7 + 1, is past it.
+        for reps in ("1000000000000000000000", "10000000"):
+            proc = run_cli(
+                "estimate", "--algo", algo, "--bits", "4", "--reps", reps, "--phase", "0.5"
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines()[-1] == (
+                "qpesim estimate: error: --reps must be at most 9999999"
+            )
+            assert "Traceback" not in proc.stderr
 
     def test_underflowing_per_bit_budget_named(self):
         # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
@@ -640,6 +641,16 @@ class TestValidate:
     def test_rejects_large_register(self):
         proc = run_cli("validate", "--bits", "12")
         assert proc.returncode == 1
+
+    def test_samples_above_cap_named(self, capsys):
+        # the sampling loop runs once per sample, so an uncapped count runs until killed
+        assert exit_code(["validate", "--samples", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qpesim validate ")
+        assert captured.err.splitlines()[-1] == (
+            "qpesim validate: error: --samples must be at most 10000000"
+        )
 
 
 # (exit code, sha256 of stdout) of each validate command line below, recorded

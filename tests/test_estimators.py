@@ -31,8 +31,8 @@ from qpesim.phase import (
     phase_from_bits,
     post_h_prob_one,
 )
-from qpesim.sampling import RngSeed, make_generator, run_trials
-from reference import majority
+from qpesim.sampling import _CHUNK, RngSeed, make_generator, run_trials
+from reference import LoggedGenerator, majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 
@@ -454,6 +454,43 @@ class TestFixedPhaseReplay:
         phi = Phase(0x5DEECE66D2B7A3F1, 64)
         cfg = EstimatorConfig(n=14, window=13)
         _assert_campaign_replays(phi, cfg, 0, 600)
+
+
+class TestRunDrawsReplay:
+    """Runs read through one ``RunDraws`` block source: one generator call per 2**16 trials."""
+
+    @pytest.mark.parametrize(
+        "n,reps,guard",
+        [(1, _CHUNK + 1, 0), (1, _CHUNK + 1, 2), (16, 4097, 2), (8, 7283, 2)],
+        ids=["votes-past-chunk-1-stage", "votes-past-chunk-3-stages", "run-past-chunk-18-stages",
+             "run-past-chunk-10-stages"],
+    )
+    def test_const_run_past_a_block_replays_reference(self, n, reps, guard):
+        # one stage's votes, or a run's, span more than one block of _CHUNK
+        # uniforms; the boundary falls inside a stage's request
+        cfg = EstimatorConfig(n=n, window=2, reps=reps, guard=guard)
+        assert reps * (n + guard) > _CHUNK and _CHUNK % reps
+        for seed in range(4):
+            for phi in _fixed_phases(64, n + guard):
+                engine_rng, reference_rng = gen(seed), gen(seed)
+                assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+                    phi, cfg, reference_rng
+                ), f"seed {seed}, phi {phi}"
+                assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "cfg,calls",
+        [
+            (constant_precision_config(16, 3, 0.05), [450]),
+            (full_qft_config(5), [5]),
+            (EstimatorConfig(n=1, window=2, reps=_CHUNK + 1, guard=2), [_CHUNK, _CHUNK, _CHUNK, 3]),
+        ],
+        ids=["const", "qft", "past-chunk"],
+    )
+    def test_generator_calls_per_run(self, cfg, calls):
+        logged = LoggedGenerator(gen(1))
+        semiclassical_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
+        assert logged.sizes == calls
 
 
 class TestStageLog:

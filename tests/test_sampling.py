@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
-from qpesim.sampling import _CHUNK, RngSeed, derive_run_seed, make_generator, run_trials
-from reference import bernoulli, frequency_estimate, majority
+from qpesim import sampling
+from qpesim.sampling import _CHUNK, RngSeed, RunDraws, derive_run_seed, make_generator, run_trials
+from reference import LoggedGenerator, bernoulli, frequency_estimate, majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 
@@ -91,6 +94,116 @@ class TestRunTrials:
         merged *= observed.sum() / merged.sum()
         _, pvalue = stats.chisquare(observed, merged)
         assert pvalue > 0.001
+
+
+def _blocks(total, chunk=_CHUNK):
+    """The generator calls a source of ``total`` uniforms makes, whatever its requests.
+
+    The first block is drawn when the source is built, so a source of 0
+    uniforms makes one empty draw.
+    """
+    blocks = [chunk] * (total // chunk)
+    if total % chunk or not blocks:
+        blocks.append(total % chunk)
+    return blocks
+
+
+def _serve_and_compare(source, ref, requests):
+    """Each request served by ``source`` equals the same call on ``ref``."""
+    for size in requests:
+        got, want = source.random(size), ref.random(size)
+        if size is None:
+            assert type(got) is float and got == want
+        else:
+            assert got.shape == (size,) and np.array_equal(got, want)
+
+
+class TestRunDraws:
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=40)), max_size=30),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_any_split_reads_the_generator_stream(self, requests, seed):
+        # a run of scalar and sized requests returns the generator's own
+        # uniforms and leaves it where the same calls on it would
+        total = sum(1 if size is None else size for size in requests)
+        g, ref = gen(seed), gen(seed)
+        source = RunDraws(g, total)
+        _serve_and_compare(source, ref, requests)
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=12)), max_size=30),
+    )
+    def test_requests_across_small_blocks(self, chunk, requests):
+        # at a block size of a few uniforms most requests cross a block boundary,
+        # and some are larger than a block; no generator call draws more than
+        # the block size or past the total
+        total = sum(1 if size is None else size for size in requests)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK", chunk)
+            logged, ref = LoggedGenerator(gen(5)), gen(5)
+            source = RunDraws(logged, total)
+            _serve_and_compare(source, ref, requests)
+        assert logged.sizes == _blocks(total, chunk)
+        assert logged.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_requests_across_a_chunk_boundary(self):
+        # 3 + (_CHUNK - 4) ends one uniform short of the first block, so the
+        # next request takes that uniform and the start of the second block
+        requests = [3, _CHUNK - 4, 10, None, _CHUNK, 7, None, 20]
+        total = sum(1 if size is None else size for size in requests)
+        assert total == 2 * _CHUNK + 38
+        logged, ref = LoggedGenerator(gen(6)), gen(6)
+        source = RunDraws(logged, total)
+        _serve_and_compare(source, ref, requests)
+        assert logged.sizes == _blocks(total) == [_CHUNK, _CHUNK, 38]
+        assert logged.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_request_larger_than_a_chunk(self):
+        # run_trials asks for at most _CHUNK at a time; a larger request is
+        # drawn in blocks of at most _CHUNK all the same, never past the total
+        total = 3 * _CHUNK + 9
+        logged, ref = LoggedGenerator(gen(7)), gen(7)
+        source = RunDraws(logged, total)
+        _serve_and_compare(source, ref, [5, 3 * _CHUNK, 4])
+        assert logged.sizes == _blocks(total) == [_CHUNK, _CHUNK, _CHUNK, 9]
+        assert logged.rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("total", [0, 1, 10, _CHUNK + 3])
+    def test_request_past_total_raises(self, total):
+        # with up to 3 uniforms left, a request for one more than is left
+        # raises and draws nothing, so what is left is still served
+        head = max(total - 3, 0)
+        g, ref = gen(8), gen(8)
+        source = RunDraws(g, total)
+        _serve_and_compare(source, ref, [head] if head else [])
+        with pytest.raises(ValueError, match="past the run's uniforms"):
+            source.random(total - head + 1)
+        _serve_and_compare(source, ref, [total - head] if total > head else [])
+        with pytest.raises(ValueError, match="past the run's uniforms"):
+            source.random()
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_block_stays_under_two_chunks(self):
+        # run_trials asks for at most _CHUNK at a time; the block keeps at
+        # most the unread tail of one block plus one fresh block
+        sizes = [_CHUNK - 1, _CHUNK, 2, _CHUNK, _CHUNK - 3, None, _CHUNK]
+        total = sum(1 if size is None else size for size in sizes)
+        source = RunDraws(gen(9), total)
+        for size in sizes:
+            source.random(size)
+            assert len(source._block) < 2 * _CHUNK
+
+    @pytest.mark.parametrize("m", [1, 2, 25, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_run_trials_counts_alike(self, m):
+        # a run of three stages counted from the source and from the generator
+        g, ref = gen(10), gen(10)
+        source = RunDraws(g, 3 * m)
+        for p in (0.2, 0.5, 0.9):
+            assert run_trials(p, m, source) == run_trials(p, m, ref)
+        assert g.bit_generator.state == ref.bit_generator.state
 
 
 class TestStats:
