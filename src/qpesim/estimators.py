@@ -22,12 +22,14 @@ on, and holds at most 2**12 entries.  Every run still draws its own
 trials, in the same order, from its own generator, so sharing changes
 no bit.
 
-A run draws its ``reps * (n + guard)`` uniforms through one
+A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws`: one generator call for a run of up
 to 2**16 trials, where one call per stage would cost about a
-microsecond each.  Each stage still counts its votes with one
-:func:`~qpesim.sampling.run_trials` call on that source, and the uniforms
-and the generator's state after the run are those of per-stage draws.
+microsecond each, and each row sorted so that a stage counts its votes
+below p by bisection instead of a numpy compare.  Each stage still
+counts with one :func:`~qpesim.sampling.run_trials` call on that
+source, and the counts and the generator's state after the run are
+those of per-stage draws.
 """
 
 from __future__ import annotations
@@ -243,10 +245,10 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     touches the generator.
 
     The run wraps ``rng`` in one :class:`~qpesim.sampling.RunDraws` of
-    ``reps * (n + guard)`` uniforms, and each stage calls
+    ``n + guard`` rows of ``reps`` uniforms, and each stage calls
     :func:`~qpesim.sampling.run_trials` once, in order, on that source.
-    It reads the run's uniforms in the order per-stage draws on ``rng``
-    would, and leaves ``rng`` where they would have left it.
+    It counts the votes per-stage draws on ``rng`` would count, and
+    leaves ``rng`` where they would have left it.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
@@ -271,7 +273,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     oracle = cfg.feedback is Feedback.ORACLE
     reps = cfg.reps
     tests = reps * total_stages
-    rng = RunDraws(rng, tests)
+    rng = RunDraws(rng, total_stages, reps)
     decided = 0  # x_i at bit width - i, aligned with raw
     ones: list[int] = []
     for i in range(total_stages, 0, -1):

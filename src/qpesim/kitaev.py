@@ -36,18 +36,13 @@ warnings, so ``kitaev_estimate`` reads the digits back with
 checks the walk against the digit-by-digit stitch on every snapped
 sequence of up to five stages.
 
-Each battery draws its own m1 uniforms from the run's generator; the
-estimator does not read them through a ``sampling.RunDraws`` block, as
-the semiclassical engine does.  A block per stage (2*m1 uniforms) made
-a 16-bit run slower (median 400 -> 410 us per run under ``timeit`` on a
-2-core Xeon, Python 3.11, numpy 2.4): a stage makes only two draws, and
-the block costs more than the one generator call it saves.  A block
-per run was faster (400 -> 370 us), but a run with an even
-``KitaevConfig.reps`` can tie at (m1/2, m1/2) and raise ``indeterminate
-angle`` mid-run; a block per run would leave the generator past the
-failed stage's draws, where ``TestKitaevReplay`` requires it to stop at
-them.  That waits for the tie to become an explicit outcome instead of
-an exception.
+A run reads its 2n batteries as the rows of one ``sampling.RunDraws``,
+drawn in one generator call and counted by bisection on sorted rows.
+A run with an even ``KitaevConfig.reps`` can tie at (m1/2, m1/2) and
+raise ``indeterminate angle`` mid-run; before the error leaves
+``kitaev_estimate``, the source rewinds the generator over the rows it
+drew and did not read, so the generator stops where per-battery draws
+would have stopped it, as ``TestKitaevReplay`` requires.
 
 Trial budgets come from a Chernoff inversion and are deliberately
 conservative.  Once a battery has seen at least ten outcomes of each
@@ -76,7 +71,7 @@ from .phase import (
     mod1_distance,
     phase_from_float,
 )
-from .sampling import run_trials
+from .sampling import RunDraws, run_trials
 
 
 # A NamedTuple, built once per stage of every run; the semiclassical
@@ -163,7 +158,7 @@ def snap_beta(phi_tilde: Phase) -> int:
 
 
 def estimate_stage(
-    phi: Phase, k: int, m1: int, rng: Generator, exact: bool = False
+    phi: Phase, k: int, m1: int, rng: Generator | RunDraws, exact: bool = False
 ) -> StageEstimate:
     """Estimate stage k from m1 COSINE plus m1 SINE Hadamard tests.
 
@@ -172,6 +167,7 @@ def estimate_stage(
     floats that ``double_k`` followed by ``hadamard_probs`` give.
     ``exact`` replaces sampling by the exact outcome probabilities (the
     noiseless oracle used to validate the reconstruction pipeline).
+    ``rng`` is a generator or a run's ``RunDraws`` of rows of m1.
     """
     if k < 1:
         raise ValueError("stage index must be positive")
@@ -228,7 +224,11 @@ def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
 def kitaev_estimate(
     phi: Phase, cfg: KitaevConfig, rng: Generator, exact: bool = False
 ) -> EstimationResult:
-    """End-to-end estimator: n stage batteries, snap, stitch to n+2 bits."""
+    """End-to-end estimator: n stage batteries, snap, stitch to n+2 bits.
+
+    The 2n batteries are the rows of one ``RunDraws`` on ``rng``; a run
+    that raises rewinds ``rng`` to the end of the last battery it read.
+    """
     width = phi.width
     if cfg.n + 2 > width - GUARD_BITS:
         raise ValueError(
@@ -236,7 +236,12 @@ def kitaev_estimate(
             f"width {width} allows {width - GUARD_BITS}"
         )
     m1 = trials_per_basis(cfg)
-    stages = [estimate_stage(phi, k, m1, rng, exact=exact) for k in range(1, cfg.n + 1)]
+    source = RunDraws(rng, 2 * cfg.n, m1)
+    try:
+        stages = [estimate_stage(phi, k, m1, source, exact=exact) for k in range(1, cfg.n + 1)]
+    except ValueError:
+        source.rewind()
+        raise
     bits, warnings = stitch_bits([s.beta for s in stages])
     return EstimationResult(
         bits=bits,
@@ -252,8 +257,10 @@ def within_guarantee(result: EstimationResult, phi: Phase, n: int) -> bool:
 
     The estimate is ``result.estimate`` when its width is ``phi.width``
     (``kitaev_estimate`` builds it from the stitched bits), else the
-    bits at ``phi.width``.
+    bits at ``phi.width``.  The n + 2 bits must fit ``phi.width``.
     """
+    if not 1 <= n <= phi.width - 2:
+        raise ValueError("n must lie in 1..width-2")
     est = estimate_phase(result, phi.width)
     span = 1 << phi.width
     d = (est.raw - phi.raw) % span

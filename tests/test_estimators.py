@@ -31,7 +31,7 @@ from qpesim.phase import (
     phase_from_bits,
     post_h_prob_one,
 )
-from qpesim.sampling import _CHUNK, RngSeed, make_generator, run_trials
+from qpesim.sampling import _CHUNK, _ROW_MAX, RngSeed, make_generator, run_trials
 from reference import LoggedGenerator, majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
@@ -457,7 +457,7 @@ class TestFixedPhaseReplay:
 
 
 class TestRunDrawsReplay:
-    """Runs read through one ``RunDraws`` block source: one generator call per 2**16 trials."""
+    """Runs read through one ``RunDraws`` row source: one generator call per 2**16 trials."""
 
     @pytest.mark.parametrize(
         "n,reps,guard",
@@ -478,16 +478,32 @@ class TestRunDrawsReplay:
                 ), f"seed {seed}, phi {phi}"
                 assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize("reps", [_ROW_MAX, _ROW_MAX + 2], ids=["row-max", "past-row-max"])
+    def test_const_run_at_the_row_limit_replays_reference(self, reps):
+        # the longest rows a block sorts, and the shortest read from the generator
+        cfg = EstimatorConfig(n=4, window=2, reps=reps, guard=2)
+        for seed in range(4):
+            for phi in _fixed_phases(64, cfg.n + cfg.guard):
+                engine_rng, reference_rng = gen(seed), gen(seed)
+                assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+                    phi, cfg, reference_rng
+                ), f"seed {seed}, phi {phi}"
+                assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+
     @pytest.mark.parametrize(
         "cfg,calls",
         [
             (constant_precision_config(16, 3, 0.05), [450]),
             (full_qft_config(5), [5]),
-            (EstimatorConfig(n=1, window=2, reps=_CHUNK + 1, guard=2), [_CHUNK, _CHUNK, _CHUNK, 3]),
+            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX, guard=2), [6 * _ROW_MAX]),
+            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX + 2, guard=2), [_ROW_MAX + 2] * 6),
+            (EstimatorConfig(n=1, window=2, reps=_CHUNK + 1, guard=2), [_CHUNK, 1] * 3),
         ],
-        ids=["const", "qft", "past-chunk"],
+        ids=["const", "qft", "row-max", "past-row-max", "past-chunk"],
     )
     def test_generator_calls_per_run(self, cfg, calls):
+        # rows of up to _ROW_MAX votes come from one block; longer rows are
+        # read from the generator, one row (in chunks) per stage
         logged = LoggedGenerator(gen(1))
         semiclassical_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
         assert logged.sizes == calls

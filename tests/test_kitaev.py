@@ -38,7 +38,7 @@ from qpesim.phase import (
 )
 from qpesim.phase import TestBasis as Basis
 from qpesim.sampling import RngSeed, make_generator, run_trials
-from reference import frequency_estimate
+from reference import LoggedGenerator, frequency_estimate
 
 
 def gen(master=0, stream=0):
@@ -345,6 +345,15 @@ class TestKitaevEstimate:
             other = Phase(raw)
             assert within_guarantee(narrow, other, 3) == within_guarantee(result, other, 3)
 
+    @pytest.mark.parametrize("n", [7, 0, -1])
+    def test_guarantee_checks_n(self, n):
+        # n + 2 stitched bits must fit the phase's width, and n must be positive
+        phi = Phase(181, 8)
+        result = kitaev_estimate(phi, KitaevConfig(n=2, eps=0.5), gen(), exact=True)
+        within_guarantee(result, phi, 6)  # the largest n the width allows
+        with pytest.raises(ValueError, match=r"n must lie in 1\.\.width-2"):
+            within_guarantee(result, phi, n)
+
     def test_guarantee_is_strict(self):
         phi = parse_phase("0.101b")
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, reps=2000), gen(6))
@@ -423,6 +432,33 @@ class TestKitaevReplay:
             reference = _outcome(reference_kitaev, phi, cfg, reference_rng, exact)
             assert engine == reference, f"seed {seed}, phi {phi}"
             assert engine_rng.random() == reference_rng.random()
+
+
+class TestRunSource:
+    """A run's 2n batteries are the rows of one ``RunDraws``."""
+
+    def test_default_run_draws_once(self):
+        # n = 16 at eps = 0.05: 32 batteries of m1 = 169 in one generator call
+        logged = LoggedGenerator(gen(1))
+        kitaev_estimate(Phase(0x9E3779B97F4A7C15), KitaevConfig(n=16), logged)
+        assert logged.sizes == [2 * 16 * 169] == [5408]
+
+    def test_tie_raising_campaign_stops_where_the_reference_does(self):
+        # even reps tie at (1, 1) and raise mid-run; each run on the shared
+        # stream starts where the reference's run before it left the generator
+        cfg = KitaevConfig(n=8, eps=0.05, reps=2)
+        raised = 0
+        for seed in range(20):
+            engine_rng, reference_rng = gen(seed), gen(seed)
+            for run in range(15):
+                raw = int(gen(seed, run + 2).integers(0, 1 << 64, dtype=np.uint64))
+                phi = Phase(raw)
+                engine = _outcome(kitaev_estimate, phi, cfg, engine_rng, False)
+                reference = _outcome(reference_kitaev, phi, cfg, reference_rng, False)
+                assert engine == reference, f"seed {seed}, run {run}, phi {phi}"
+                assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+                raised += engine == "ValueError: indeterminate angle"
+        assert raised >= 30
 
 
 class TestStageEstimateContract:

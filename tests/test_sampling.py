@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qpesim import sampling
-from qpesim.sampling import _CHUNK, RngSeed, RunDraws, derive_run_seed, make_generator, run_trials
+from qpesim.sampling import (
+    _CHUNK, _ROW_MAX, RngSeed, RunDraws, derive_run_seed, make_generator, run_trials,
+)
 from reference import LoggedGenerator, bernoulli, frequency_estimate, majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
@@ -96,111 +98,140 @@ class TestRunTrials:
         assert pvalue > 0.001
 
 
-def _blocks(total, chunk=_CHUNK):
-    """The generator calls a source of ``total`` uniforms makes, whatever its requests.
+def _rows_read(source, ref, ps, size):
+    """Each count from ``source`` equals the compare-and-count of the next row of ``ref``.
 
-    The first block is drawn when the source is built, so a source of 0
-    uniforms makes one empty draw.
+    A ``p`` given as ``("own", j)`` is the row's own uniform ``j mod size``,
+    read from ``ref`` before the count, so that uniform must not count.
     """
-    blocks = [chunk] * (total // chunk)
-    if total % chunk or not blocks:
-        blocks.append(total % chunk)
-    return blocks
+    for p in ps:
+        row = ref.random(size)
+        if isinstance(p, tuple):
+            p = float(row[p[1] % size])
+        assert run_trials(p, size, source) == int(np.count_nonzero(row < p))
 
 
-def _serve_and_compare(source, ref, requests):
-    """Each request served by ``source`` equals the same call on ``ref``."""
-    for size in requests:
-        got, want = source.random(size), ref.random(size)
-        if size is None:
-            assert type(got) is float and got == want
-        else:
-            assert got.shape == (size,) and np.array_equal(got, want)
+_P_VALUES = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.tuples(st.just("own"), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+# Rows of _ROW_MAX uniforms one block holds.
+_BLOCK_ROWS = _CHUNK // _ROW_MAX
+
+
+def _buffered(seed):
+    """A generator holding half of a 64-bit output as a buffered uint32."""
+    g = gen(seed)
+    g.integers(0, 1 << 32, dtype=np.uint32)
+    assert g.bit_generator.state["has_uint32"] == 1
+    return g
 
 
 class TestRunDraws:
     @given(
-        st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=40)), max_size=30),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=12),
+        st.lists(_P_VALUES, max_size=30),
         st.integers(min_value=0, max_value=2**32),
     )
-    def test_any_split_reads_the_generator_stream(self, requests, seed):
-        # a run of scalar and sized requests returns the generator's own
-        # uniforms and leaves it where the same calls on it would
-        total = sum(1 if size is None else size for size in requests)
-        g, ref = gen(seed), gen(seed)
-        source = RunDraws(g, total)
-        _serve_and_compare(source, ref, requests)
-        assert g.bit_generator.state == ref.bit_generator.state
-
-    @given(
-        st.integers(min_value=1, max_value=7),
-        st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=12)), max_size=30),
-    )
-    def test_requests_across_small_blocks(self, chunk, requests):
-        # at a block size of a few uniforms most requests cross a block boundary,
-        # and some are larger than a block; no generator call draws more than
-        # the block size or past the total
-        total = sum(1 if size is None else size for size in requests)
+    def test_counts_are_the_generator_rows(self, chunk, row_max, size, ps, seed):
+        # at a block of a few uniforms most runs span several blocks, and
+        # rows past the row limit are read from the generator directly;
+        # no generator call draws more than a block
+        row_max = min(row_max, chunk)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_CHUNK", chunk)
-            logged, ref = LoggedGenerator(gen(5)), gen(5)
-            source = RunDraws(logged, total)
-            _serve_and_compare(source, ref, requests)
-        assert logged.sizes == _blocks(total, chunk)
+            patch.setattr(sampling, "_ROW_MAX", row_max)
+            logged, ref = LoggedGenerator(gen(seed)), gen(seed)
+            _rows_read(RunDraws(logged, len(ps), size), ref, ps, size)
+        assert all(1 <= count <= chunk for count in logged.sizes if count is not None)
         assert logged.rng.bit_generator.state == ref.bit_generator.state
 
-    def test_requests_across_a_chunk_boundary(self):
-        # 3 + (_CHUNK - 4) ends one uniform short of the first block, so the
-        # next request takes that uniform and the start of the second block
-        requests = [3, _CHUNK - 4, 10, None, _CHUNK, 7, None, 20]
-        total = sum(1 if size is None else size for size in requests)
-        assert total == 2 * _CHUNK + 38
-        logged, ref = LoggedGenerator(gen(6)), gen(6)
-        source = RunDraws(logged, total)
-        _serve_and_compare(source, ref, requests)
-        assert logged.sizes == _blocks(total) == [_CHUNK, _CHUNK, 38]
-        assert logged.rng.bit_generator.state == ref.bit_generator.state
-
-    def test_request_larger_than_a_chunk(self):
-        # run_trials asks for at most _CHUNK at a time; a larger request is
-        # drawn in blocks of at most _CHUNK all the same, never past the total
-        total = 3 * _CHUNK + 9
-        logged, ref = LoggedGenerator(gen(7)), gen(7)
-        source = RunDraws(logged, total)
-        _serve_and_compare(source, ref, [5, 3 * _CHUNK, 4])
-        assert logged.sizes == _blocks(total) == [_CHUNK, _CHUNK, _CHUNK, 9]
-        assert logged.rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("total", [0, 1, 10, _CHUNK + 3])
-    def test_request_past_total_raises(self, total):
-        # with up to 3 uniforms left, a request for one more than is left
-        # raises and draws nothing, so what is left is still served
-        head = max(total - 3, 0)
-        g, ref = gen(8), gen(8)
-        source = RunDraws(g, total)
-        _serve_and_compare(source, ref, [head] if head else [])
-        with pytest.raises(ValueError, match="past the run's uniforms"):
-            source.random(total - head + 1)
-        _serve_and_compare(source, ref, [total - head] if total > head else [])
-        with pytest.raises(ValueError, match="past the run's uniforms"):
-            source.random()
+    @pytest.mark.parametrize("size", [1, 2, 25, 169, _ROW_MAX, _ROW_MAX + 2, _CHUNK + 1])
+    def test_full_size_runs(self, size):
+        # a run at the real block and row limits, with p at 0, 1 and own uniforms
+        ps = [0.0, 1.0, 0.37, ("own", 0), ("own", size // 2), ("own", size - 1), 0.9]
+        g, ref = gen(10), gen(10)
+        _rows_read(RunDraws(g, len(ps), size), ref, ps, size)
         assert g.bit_generator.state == ref.bit_generator.state
 
-    def test_block_stays_under_two_chunks(self):
-        # run_trials asks for at most _CHUNK at a time; the block keeps at
-        # most the unread tail of one block plus one fresh block
-        sizes = [_CHUNK - 1, _CHUNK, 2, _CHUNK, _CHUNK - 3, None, _CHUNK]
-        total = sum(1 if size is None else size for size in sizes)
-        source = RunDraws(gen(9), total)
-        for size in sizes:
-            source.random(size)
-            assert len(source._block) < 2 * _CHUNK
+    @pytest.mark.parametrize(
+        "size,rows,calls",
+        [
+            (1, _CHUNK + 5, [_CHUNK, 5]),
+            (25, 2 * (_CHUNK // 25) + 3, [_CHUNK // 25 * 25] * 2 + [75]),
+            (_ROW_MAX, 2 * _BLOCK_ROWS + 4, [_BLOCK_ROWS * _ROW_MAX] * 2 + [4 * _ROW_MAX]),
+            (_ROW_MAX + 2, 3, [_ROW_MAX + 2] * 3),
+            (_CHUNK + 1, 2, [_CHUNK, 1] * 2),
+        ],
+        ids=["one", "const", "row-max", "past-row-max", "past-chunk"],
+    )
+    def test_block_stays_within_a_chunk(self, size, rows, calls):
+        logged = LoggedGenerator(gen(9))
+        source = RunDraws(logged, rows, size)
+        for _ in range(rows):
+            run_trials(0.5, size, source)
+            assert len(source._view) <= _CHUNK
+        assert logged.sizes == calls
 
-    @pytest.mark.parametrize("m", [1, 2, 25, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("size", [1, 25, _ROW_MAX + 2])
+    def test_wrong_size_or_past_the_last_row_draws_nothing(self, size):
+        g = gen(8)
+        source = RunDraws(g, 2, size)
+        for _ in range(2):
+            state = g.bit_generator.state
+            wrong = f"request of {size + 1} uniforms from rows of {size}"
+            with pytest.raises(ValueError, match=wrong):
+                run_trials(0.5, size + 1, source)
+            assert g.bit_generator.state == state
+            run_trials(0.5, size, source)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="past the run's last row"):
+            run_trials(0.5, size, source)
+        assert g.bit_generator.state == state
+
+    def test_run_trials_checks_come_first(self):
+        g = gen(8)
+        source = RunDraws(g, 1, 3)
+        with pytest.raises(ValueError, match="trial count must be positive"):
+            run_trials(0.5, 0, source)
+        with pytest.raises(ValueError, match="invalid probability"):
+            run_trials(1.5, 3, source)
+        assert g.bit_generator.state == gen(8).bit_generator.state
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_rewind_restores_the_exact_state(self, chunk, size, rows, read, seed):
+        # from a generator holding a buffered uint32, read some rows, rewind,
+        # and the state (buffer included) is where reading them alone leaves it;
+        # the rows left are then served as the generator's next rows
+        read = min(read, rows)
+        size = min(size, chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK", chunk)
+            g, ref = _buffered(seed), _buffered(seed)
+            source = RunDraws(g, rows, size)
+            _rows_read(source, ref, [0.5] * read, size)
+            source.rewind()
+            assert g.bit_generator.state == ref.bit_generator.state
+            _rows_read(source, ref, [0.25] * (rows - read), size)
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 25, _ROW_MAX, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     def test_run_trials_counts_alike(self, m):
         # a run of three stages counted from the source and from the generator
         g, ref = gen(10), gen(10)
-        source = RunDraws(g, 3 * m)
+        source = RunDraws(g, 3, m)
         for p in (0.2, 0.5, 0.9):
             assert run_trials(p, m, source) == run_trials(p, m, ref)
         assert g.bit_generator.state == ref.bit_generator.state
