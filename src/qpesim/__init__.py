@@ -54,16 +54,11 @@ from .phase import (
     DEFAULT_WIDTH,
     BitString,
     Phase,
-    TestBasis,
-    corrected_residual,
-    double_k,
-    hadamard_probs,
     mod1_distance,
     parse_phase,
     phase_from_bits,
     phase_from_float,
     phase_from_fraction,
-    post_h_prob_one,
 )
 from .refsim import (
     MAX_DENSE_BITS,

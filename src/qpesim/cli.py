@@ -29,7 +29,6 @@ from .bounds import (
     BudgetMode,
     const_precision_trials,
     kitaev_trials_per_bit,
-    qft_lower_bound,
     round_up_to_odd,
     trials_table,
 )
@@ -44,7 +43,7 @@ from .estimators import (
 )
 from .kitaev import KitaevConfig
 from .phase import DEFAULT_WIDTH, Phase, parse_phase
-from .refsim import best_outcome_mass, empirical_vs_exact, qpe_distribution_exact
+from .refsim import MAX_SAMPLED_BITS, self_checks
 from .sampling import RngSeed, derive_run_seed, make_generator
 
 _FORMATS = ("table", "json", "csv")
@@ -54,6 +53,8 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_REPS = 10**7 - 1
 # Largest compare --points accepted, so the grid and its rows stay bounded.
 _MAX_POINTS = 10**6
+# Largest montecarlo --runs accepted, so the buffered rows stay bounded.
+_MAX_RUNS = 10**6
 # Largest validate --samples accepted, so the sampling loop stays bounded.
 _MAX_SAMPLES = 10**7
 
@@ -151,6 +152,8 @@ def _run_setup(
         parser.error("--guard must be nonnegative")
     if getattr(args, "runs", 1) < 1:
         parser.error("--runs must be positive")
+    if getattr(args, "runs", 1) > _MAX_RUNS:
+        parser.error(f"--runs must be at most {_MAX_RUNS}")
     phi = None if args.phase == "random" else parse_phase(args.phase)
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     if "reps" in given:
@@ -307,48 +310,15 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not 1 <= args.bits <= 10:
-        parser.error("--bits must lie in 1..10 for validation")
+    if not 1 <= args.bits <= MAX_SAMPLED_BITS:
+        parser.error(f"--bits must lie in 1..{MAX_SAMPLED_BITS} for validation")
     if args.samples < 1:
         parser.error("--samples must be positive")
     if args.samples > _MAX_SAMPLES:
         parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     rng = make_generator(RngSeed(args.seed))
     phi = _random_phase(rng) if args.phase == "random" else parse_phase(args.phase)
-
-    checks: list[tuple[str, bool, str]] = []
-
-    grid = [Phase(j << (DEFAULT_WIDTH - 10), DEFAULT_WIDTH) for j in range(1024)]
-    worst = 0.0
-    for point in grid:
-        closed = qpe_distribution_exact(point, args.bits, "closed").probs
-        direct = qpe_distribution_exact(point, args.bits, "direct").probs
-        worst = max(worst, float(np.abs(closed - direct).max()))
-    checks.append(
-        ("closed-vs-direct agreement", worst <= 1e-10, f"max |diff| {worst:.3e} (tol 1e-10)")
-    )
-
-    tv = empirical_vs_exact(phi, args.bits, args.samples, rng)
-    # multinomial concentration: expected TV ~ 0.4*sqrt(2^n/samples)
-    tv_limit = 0.4 * math.sqrt((1 << args.bits) / args.samples) + 0.01
-    checks.append(
-        ("sampling TV distance", tv < tv_limit, f"TV {_fmt(tv)} (limit {_fmt(tv_limit)})")
-    )
-
-    floor = qft_lower_bound() - 1e-9
-    lowest = 1.0
-    for j in range(4096):
-        point = Phase(j << (DEFAULT_WIDTH - 12), DEFAULT_WIDTH)
-        mass = best_outcome_mass(qpe_distribution_exact(point, args.bits), point)
-        lowest = min(lowest, mass)
-    checks.append(
-        (
-            "two-point mass grid minimum",
-            lowest >= floor,
-            f"min {_fmt(lowest)} (floor {_fmt(floor)})",
-        )
-    )
-
+    checks = self_checks(phi, args.bits, args.samples, rng)
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<28} {'PASS' if ok else 'FAIL':<6} {detail}")

@@ -49,7 +49,7 @@ from .bounds import (
     per_bit_budget,
     round_up_to_odd,
 )
-from .phase import GUARD_BITS, BitString, Phase, mod1_distance, phase_from_bits
+from .phase import BitString, Phase, check_bit_budget, mod1_distance, phase_from_bits
 from .sampling import RunDraws, run_trials
 
 
@@ -253,11 +253,7 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     width = phi.width
     total_stages = cfg.n + cfg.guard
     window = cfg.window
-    if total_stages + window > width - GUARD_BITS:
-        raise ValueError(
-            f"configuration needs {total_stages + window} significant bits; "
-            f"width {width} allows {width - GUARD_BITS}"
-        )
+    check_bit_budget(total_stages + window, width)
     global _memo
     raw = phi.raw
     key = (raw, width, cfg)

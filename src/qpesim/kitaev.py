@@ -65,9 +65,9 @@ from .bounds import DEFAULT_EPS, BudgetMode, finite_ceil, kitaev_coefficient
 from .estimators import EstimationResult, estimate_phase
 from .phase import (
     DEFAULT_WIDTH,
-    GUARD_BITS,
     BitString,
     Phase,
+    check_bit_budget,
     mod1_distance,
     phase_from_float,
 )
@@ -230,11 +230,7 @@ def kitaev_estimate(
     that raises rewinds ``rng`` to the end of the last battery it read.
     """
     width = phi.width
-    if cfg.n + 2 > width - GUARD_BITS:
-        raise ValueError(
-            f"configuration needs {cfg.n + 2} significant bits; "
-            f"width {width} allows {width - GUARD_BITS}"
-        )
+    check_bit_budget(cfg.n + 2, width)
     m1 = trials_per_basis(cfg)
     source = RunDraws(rng, 2 * cfg.n, m1)
     try:

@@ -18,9 +18,18 @@ from typing import Iterable, Iterator
 
 DEFAULT_WIDTH = 64
 
-# Configurations may not consume the lowest GUARD_BITS bits of the raw
-# representation; estimator front-ends enforce this margin.
+# Low raw bits no configuration may consume; check_bit_budget enforces the margin.
 GUARD_BITS = 4
+
+
+def check_bit_budget(needed: int, width: int) -> None:
+    """Reject a configuration needing more significant bits than ``width - GUARD_BITS``."""
+    if needed > width - GUARD_BITS:
+        raise ValueError(
+            f"configuration needs {needed} significant bits; "
+            f"width {width} allows {width - GUARD_BITS}"
+        )
+
 
 # The values a binary digit may take; BitString checks its digits against it.
 _DIGITS = frozenset((0, 1))
@@ -201,9 +210,13 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
         return phase_from_bits(BitString.from_text(m.group(1)), width)
     m = _RAW_LITERAL.match(text)
     if m:
-        if int(m.group(2)) > MAX_LITERAL_WIDTH:
+        # Counted before int(): a raw value of over MAX_LITERAL_WIDTH digits fits no width.
+        raw, width_text = (digits.lstrip("0") or "0" for digits in m.groups())
+        if len(width_text) > len(str(MAX_LITERAL_WIDTH)) or int(width_text) > MAX_LITERAL_WIDTH:
             raise ValueError(f"phase literal width exceeds the cap of {MAX_LITERAL_WIDTH} bits")
-        return Phase(int(m.group(1)), int(m.group(2)))
+        if len(raw) > MAX_LITERAL_WIDTH:
+            raise ValueError(f"raw value of {len(raw)} digits out of range for width {width_text}")
+        return Phase(int(raw), int(width_text))
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -16,15 +16,19 @@ with the same expression and so the same floats.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
 
+from .bounds import qft_lower_bound
 from .estimators import full_qft_config, semiclassical_estimate
-from .phase import Phase
+from .phase import DEFAULT_WIDTH, Phase
 
 MAX_DENSE_BITS = 14
+# Largest register the sampled comparison runs: its tally has 2**n entries.
+MAX_SAMPLED_BITS = 10
 _ZERO_OFFSET = 2.0**-60
 
 
@@ -105,8 +109,8 @@ def best_outcome_mass(dist: OutcomeDistribution, phi: Phase) -> float:
 
 def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> float:
     """Total-variation distance between sampled full-QFT outcomes and the exact law."""
-    if n > 10:
-        raise ValueError("empirical comparison capped at 10 bits")
+    if n > MAX_SAMPLED_BITS:
+        raise ValueError(f"empirical comparison capped at {MAX_SAMPLED_BITS} bits")
     if samples < 1:
         raise ValueError("sample count must be positive")
     cfg = full_qft_config(n)
@@ -117,3 +121,28 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
         counts[semiclassical_estimate(phi, cfg, rng).estimate.raw >> shift] += 1
     exact = qpe_distribution_exact(phi, n).probs
     return 0.5 * float(np.abs(np.array(counts) / samples - exact).sum())
+
+
+def self_checks(phi: Phase, n: int, samples: int, rng: Generator) -> list[tuple[str, bool, str]]:
+    """The oracle's self-checks at register size n, as (name, ok, detail) triples.
+
+    Closed form against direct sum on j/2**10, ``samples`` full-QFT runs at phi
+    on ``rng`` against the exact law, and the 8/pi^2 two-point floor on j/2**12.
+    """
+    worst = 0.0
+    for point in map(Phase, range(0, 1 << DEFAULT_WIDTH, 1 << (DEFAULT_WIDTH - 10))):
+        closed = qpe_distribution_exact(point, n, "closed").probs
+        direct = qpe_distribution_exact(point, n, "direct").probs
+        worst = max(worst, float(np.abs(closed - direct).max()))
+    tv = empirical_vs_exact(phi, n, samples, rng)
+    # multinomial concentration: expected TV ~ 0.4*sqrt(2^n/samples)
+    tv_limit = 0.4 * math.sqrt((1 << n) / samples) + 0.01
+    floor = qft_lower_bound() - 1e-9
+    lowest = 1.0
+    for point in map(Phase, range(0, 1 << DEFAULT_WIDTH, 1 << (DEFAULT_WIDTH - 12))):
+        lowest = min(lowest, best_outcome_mass(qpe_distribution_exact(point, n), point))
+    return [
+        ("closed-vs-direct agreement", worst <= 1e-10, f"max |diff| {worst:.3e} (tol 1e-10)"),
+        ("sampling TV distance", tv < tv_limit, f"TV {tv:.12g} (limit {tv_limit:.12g})"),
+        ("two-point mass grid minimum", lowest >= floor, f"min {lowest:.12g} (floor {floor:.12g})"),
+    ]

@@ -77,6 +77,13 @@ class TestEstimate:
         assert proc.returncode == 1
         assert proc.stderr == "qpesim: error: configuration needs 5 significant bits; width 8 allows 4\n"
 
+    def test_semiclassical_engine_names_the_same_bit_budget(self, capsys):
+        # full QFT at n = 3 needs 3 stages plus a 2-bit window, the 5 bits kitaev needs above
+        assert main(["estimate", "--algo", "qft", "--bits", "3", "--phase", "181@8"]) == 1
+        assert capsys.readouterr().err == (
+            "qpesim: error: configuration needs 5 significant bits; width 8 allows 4\n"
+        )
+
     def test_json_has_stage_log(self):
         import json
 
@@ -223,6 +230,21 @@ class TestExtremeBudgets:
                 "qpesim estimate: error: --reps must be at most 9999999"
             )
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "phase,message",
+        [
+            ("5" * 5000 + "@8", "raw value of 5000 digits out of range for width 8"),
+            ("1@" + "5" * 5000, "phase literal width exceeds the cap of 4096 bits"),
+        ],
+        ids=["raw-5000-digits", "width-5000-digits"],
+    )
+    def test_huge_raw_literal_named(self, phase, message, capsys):
+        # not CPython's int() advice on its 4300-digit limit
+        assert main(["estimate", "--algo", "qft", "--bits", "3", "--phase", phase]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qpesim: error: {message}\n"
 
     def test_underflowing_per_bit_budget_named(self):
         # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
@@ -401,6 +423,16 @@ class TestMonteCarlo:
         assert even.returncode == 0, even.stderr
         assert len(even.stdout.splitlines()) == 50 + 2
         assert even.stdout == run_cli(*args, "--reps", "3").stdout
+
+    def test_runs_above_cap_named(self, capsys):
+        # every row is held until the last run ends, so an uncapped count grows memory unbounded
+        assert exit_code(["montecarlo", "--algo", "qft", "--bits", "4", "--runs", "1000001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qpesim montecarlo ")
+        assert captured.err.splitlines()[-1] == (
+            "qpesim montecarlo: error: --runs must be at most 1000000"
+        )
 
     def test_fixed_phase_runs(self):
         proc = run_cli(

@@ -14,6 +14,7 @@ from qpesim.phase import (
     MAX_LITERAL_WIDTH,
     BitString,
     Phase,
+    check_bit_budget,
     corrected_residual,
     double_k,
     hadamard_probs,
@@ -91,6 +92,29 @@ class TestParsing:
             parse_phase(f"1@{MAX_LITERAL_WIDTH + 1}")
         with pytest.raises(ValueError, match="exceeds the cap"):
             parse_phase("1@20000000000")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5" * 5000 + "@8", "raw value of 5000 digits out of range for width 8"),
+            ("1" + "0" * MAX_LITERAL_WIDTH + "@4096", "raw value of 4097 digits out of range"),
+            ("9" * MAX_LITERAL_WIDTH + "@4096", "out of range for width 4096"),
+            ("1@" + "5" * 5000, f"exceeds the cap of {MAX_LITERAL_WIDTH} bits"),
+            ("5" * 5000 + "@" + "5" * 5000, f"exceeds the cap of {MAX_LITERAL_WIDTH} bits"),
+        ],
+        ids=["raw-5000-digits", "raw-4097-digits", "raw-4096-digits", "width-5000-digits",
+             "both-5000-digits"],
+    )
+    def test_raw_width_digits_counted_before_int(self, text, message):
+        # past CPython's 4300-digit limit int() would raise its own advice instead
+        with pytest.raises(ValueError, match=message) as info:
+            parse_phase(text)
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    def test_raw_width_leading_zeros(self):
+        # leading zeros do not count towards either cap
+        phi = parse_phase("0" * 5000 + "181@" + "0" * 5000 + "8")
+        assert (phi.raw, phi.width) == (181, 8)
 
     def test_rejects_garbage(self):
         for text in ("random", "0.12b", "1.5", "-0.25", "x"):
@@ -298,3 +322,13 @@ class TestBitString:
             BitString.from_int(-1, 3)
         with pytest.raises(ValueError):
             BitString.from_int(0, -1)
+
+
+class TestBitBudget:
+    def test_guard_margin(self):
+        check_bit_budget(60, 64)
+        check_bit_budget(4, 8)
+        with pytest.raises(ValueError, match="^configuration needs 61 significant bits; width 64 allows 60$"):
+            check_bit_budget(61, 64)
+        with pytest.raises(ValueError, match="^configuration needs 5 significant bits; width 8 allows 4$"):
+            check_bit_budget(5, 8)

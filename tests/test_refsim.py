@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qpesim import cli
+from qpesim.bounds import qft_lower_bound
 from qpesim.estimators import full_qft_config, semiclassical_estimate
 from qpesim.phase import Phase, parse_phase, phase_from_bits
 from qpesim.refsim import (
     MAX_DENSE_BITS,
+    MAX_SAMPLED_BITS,
     OutcomeDistribution,
     _ZERO_OFFSET,
     best_outcome_mass,
     empirical_vs_exact,
     qpe_distribution_exact,
+    self_checks,
 )
 from qpesim.sampling import RngSeed, make_generator
 
@@ -118,8 +123,8 @@ class TestEmpirical:
         assert tv < 0.01
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            empirical_vs_exact(Phase(0), 11, 10, gen())
+        with pytest.raises(ValueError, match=f"capped at {MAX_SAMPLED_BITS} bits"):
+            empirical_vs_exact(Phase(0), MAX_SAMPLED_BITS + 1, 10, gen())
 
 
 def reference_distribution(phi: Phase, n: int, method: str = "closed") -> OutcomeDistribution:
@@ -201,3 +206,56 @@ class TestOracleBitIdentity:
         rng, twin = gen(seed), gen(seed)
         assert empirical_vs_exact(phi, n, samples, rng) == reference_empirical(phi, n, samples, twin)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# The check names in the order validate prints them (perfbench/run.py lists
+# the same, then "overall").
+CHECK_NAMES = ["closed-vs-direct agreement", "sampling TV distance", "two-point mass grid minimum"]
+
+
+def cli_validate(argv: list[str], monkeypatch, capsys) -> tuple[int, list[str], dict]:
+    """``validate`` run in process: its exit code, its lines and its generator's final state."""
+    made = []
+
+    def recorded(seed):
+        made.append(make_generator(seed))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_generator", recorded)
+    code = cli.main(["validate", *argv])
+    (rng,) = made
+    return code, capsys.readouterr().out.splitlines(), rng.bit_generator.state
+
+
+class TestSelfChecks:
+    @pytest.mark.parametrize(
+        "phase,n,samples,seed,verdicts",
+        [
+            ("0.703125", 5, 50000, 0, [True, True, True]),  # validate's defaults
+            ("0.25", 1, 30, 4, [True, False, True]),  # too few samples for the TV limit
+        ],
+        ids=["defaults", "undersampled"],
+    )
+    def test_matches_the_cli(self, phase, n, samples, seed, verdicts, monkeypatch, capsys):
+        rng = gen(seed)
+        checks = self_checks(parse_phase(phase), n, samples, rng)
+        assert [name for name, _, _ in checks] == CHECK_NAMES
+        assert [ok for _, ok, _ in checks] == verdicts
+        argv = ["--phase", phase, "--bits", str(n), "--samples", str(samples), "--seed", str(seed)]
+        code, lines, state = cli_validate(argv, monkeypatch, capsys)
+        assert code == (0 if all(verdicts) else 2)
+        assert lines[:-1] == [
+            f"{name:<28} {'PASS' if ok else 'FAIL':<6} {detail}" for name, ok, detail in checks
+        ]
+        assert lines[-1].split() == ["overall", "PASS" if all(verdicts) else "FAIL"]
+        # the same draws on the same stream: the generators end alike
+        assert rng.bit_generator.state == state
+
+    def test_detail_formats(self):
+        agreement, tv, floor = (detail for _, _, detail in self_checks(Phase(0), 3, 200, gen(1)))
+        assert re.fullmatch(r"max \|diff\| \d\.\d{3}e[-+]\d\d \(tol 1e-10\)", agreement)
+        # an exact phase samples its one outcome every time
+        sampled = re.fullmatch(r"TV (\S+) \(limit (\S+)\)", tv)
+        assert float(sampled[1]) < 1e-12
+        assert sampled[2] == f"{0.4 * math.sqrt(8 / 200) + 0.01:.12g}"
+        assert floor.endswith(f" (floor {qft_lower_bound() - 1e-9:.12g})")
