@@ -41,7 +41,10 @@ _BINARY_LITERAL = re.compile(r"^0\.([01]+)b$")
 _RAW_LITERAL = re.compile(r"^(\d+)@(\d+)$")
 
 # Widest raw@width literal: a Phase builds 2**width, so a huge width would exhaust memory.
+# Also the most digits a decimal literal may have.
 MAX_LITERAL_WIDTH = 4096
+# Characters of a rejected literal that its error message repeats.
+_ECHO_CHARS = 40
 
 
 class TestBasis(enum.Enum):
@@ -201,8 +204,9 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
     Three forms are accepted: a binary fraction with ``b`` suffix
     (``0.101101b``, exact), a raw/width pair (``181@8`` meaning 181/2**8,
     exact, width taken from the literal, at most ``MAX_LITERAL_WIDTH``),
-    or a decimal in [0, 1) (rounded to the nearest width-bit value, ties
-    to even).
+    or a decimal in [0, 1) of at most ``MAX_LITERAL_WIDTH`` digits
+    (rounded to the nearest width-bit value, ties to even).  A rejected
+    literal's message repeats at most its first 40 characters.
     """
     text = text.strip()
     m = _BINARY_LITERAL.match(text)
@@ -217,10 +221,16 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
         if len(raw) > MAX_LITERAL_WIDTH:
             raise ValueError(f"raw value of {len(raw)} digits out of range for width {width_text}")
         return Phase(int(raw), int(width_text))
+    # Counted before Fraction(): past CPython's int-digit limit it raises, and
+    # the decimal would be reported as no phase literal at all.
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_WIDTH:
+        raise ValueError(f"decimal phase literal of {digits} digits exceeds the cap of {MAX_LITERAL_WIDTH} digits")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a phase literal: {text!r}") from exc
+        shown = text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+        raise ValueError(f"not a phase literal: {shown!r}") from exc
     return phase_from_fraction(value, width)
 
 

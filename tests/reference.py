@@ -3,14 +3,17 @@
 ``qpesim.sampling.run_trials`` returns the count h of 1 outcomes in t
 trials; these are the one-draw and count-reading definitions it is
 tested against.  :class:`LoggedGenerator` records the draws a caller
-makes from a generator.
+makes from a generator.  :func:`reference_seed_sequence` and
+:func:`reference_generator` key a run's generator the way the
+reproducibility contract states it, through numpy's own SeedSequence;
+``qpesim.sampling.make_generator`` is checked against them.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from numpy.random import Generator
+from numpy.random import Generator, PCG64, SeedSequence
 
 
 def bernoulli(p: float, rng: Generator) -> int:
@@ -51,3 +54,13 @@ class LoggedGenerator:
     def random(self, size: int | None = None) -> Any:
         self.sizes.append(size)
         return self.rng.random(size)
+
+
+def reference_seed_sequence(master: int, stream: int) -> SeedSequence:
+    """numpy's SeedSequence for one run's (master, stream) seed pair."""
+    return SeedSequence(entropy=master, spawn_key=(stream,))
+
+
+def reference_generator(master: int, stream: int) -> Generator:
+    """PCG64 keyed by :func:`reference_seed_sequence`: the generator a run must get."""
+    return Generator(PCG64(reference_seed_sequence(master, stream)))

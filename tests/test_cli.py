@@ -236,8 +236,9 @@ class TestExtremeBudgets:
         [
             ("5" * 5000 + "@8", "raw value of 5000 digits out of range for width 8"),
             ("1@" + "5" * 5000, "phase literal width exceeds the cap of 4096 bits"),
+            ("0." + "1" * 4999, "decimal phase literal of 5000 digits exceeds the cap of 4096 digits"),
         ],
-        ids=["raw-5000-digits", "width-5000-digits"],
+        ids=["raw-5000-digits", "width-5000-digits", "decimal-5000-digits"],
     )
     def test_huge_raw_literal_named(self, phase, message, capsys):
         # not CPython's int() advice on its 4300-digit limit

@@ -116,6 +116,29 @@ class TestParsing:
         phi = parse_phase("0" * 5000 + "181@" + "0" * 5000 + "8")
         assert (phi.raw, phi.width) == (181, 8)
 
+    @pytest.mark.parametrize("digits", [4000, MAX_LITERAL_WIDTH])
+    def test_long_decimal_parses(self, digits):
+        # "0." and digits - 1 ones: the value rounds as the shorter literal does
+        phi = parse_phase("0." + "1" * (digits - 1))
+        assert phi == phase_from_fraction(Fraction(1, 9))
+
+    @pytest.mark.parametrize("digits", [MAX_LITERAL_WIDTH + 1, 5000])
+    def test_decimal_digits_counted_before_fraction(self, digits):
+        # past CPython's 4300-digit limit Fraction() raises, which read as no literal at all
+        with pytest.raises(ValueError) as info:
+            parse_phase("0." + "1" * (digits - 1))
+        message = str(info.value)
+        assert message == (
+            f"decimal phase literal of {digits} digits exceeds the cap of {MAX_LITERAL_WIDTH} digits"
+        )
+
+    def test_rejected_literal_echo_is_short(self):
+        with pytest.raises(ValueError) as info:
+            parse_phase("x" * 5000)
+        assert str(info.value) == f"not a phase literal: {'x' * 40 + '...'!r}"
+        with pytest.raises(ValueError, match=r"^not a phase literal: 'x'$"):
+            parse_phase("x")
+
     def test_rejects_garbage(self):
         for text in ("random", "0.12b", "1.5", "-0.25", "x"):
             with pytest.raises(ValueError):

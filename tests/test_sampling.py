@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 from qpesim import sampling
 from qpesim.sampling import (
-    _CHUNK, _ROW_MAX, RngSeed, RunDraws, derive_run_seed, make_generator, run_trials,
+    _CHUNK, _ROW_MAX, RngSeed, RunDraws, _RunSeed, derive_run_seed, make_generator, run_trials,
 )
-from reference import LoggedGenerator, bernoulli, frequency_estimate, majority
+from reference import (
+    LoggedGenerator, bernoulli, frequency_estimate, majority, reference_generator,
+    reference_seed_sequence,
+)
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
 
@@ -310,3 +314,112 @@ class TestSeeds:
             RngSeed(-1)
         with pytest.raises(ValueError):
             RngSeed(0, 1 << 64)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, np.float64(1.0), [1]])
+    def test_non_integers_rejected(self, value):
+        # rejected when the seed is made, not later by numpy or by derive_run_seed
+        with pytest.raises(ValueError, match="^master seed must be a 64-bit unsigned integer$"):
+            RngSeed(value)
+        with pytest.raises(ValueError, match="^stream must be a 64-bit unsigned integer$"):
+            RngSeed(0, value)
+
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32, np.uint8])
+    def test_numpy_integers_are_the_ints_they_equal(self, kind):
+        seed = RngSeed(kind(7), kind(200))
+        assert seed == RngSeed(7, 200)
+        assert type(seed.master) is int and type(seed.stream) is int
+        assert derive_run_seed(seed, 3) == derive_run_seed(RngSeed(7, 200), 3)
+        state = make_generator(seed).bit_generator.state
+        assert state == reference_generator(7, 200).bit_generator.state
+
+
+# Word edges of both halves of a seed pair: numpy reads 0 .. 2**32 - 1 as
+# one 32-bit word and 2**32 .. 2**64 - 1 as two.
+_EDGES = (0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1)
+_UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _edge_pairs(example_test):
+    for master in _EDGES:
+        for stream in _EDGES:
+            example_test = example(master, stream)(example_test)
+    return example_test
+
+
+class TestSeedingParity:
+    """``make_generator`` keys PCG64 to the state numpy's SeedSequence gives it.
+
+    The reproducibility contract is stated on ``SeedSequence(entropy=master,
+    spawn_key=(stream,))``; these tests hold ``_RunSeed``, which computes that
+    hash itself, to numpy's, bit for bit.
+    """
+
+    @given(_UINT64, _UINT64)
+    @_edge_pairs
+    def test_state_words(self, master, stream):
+        ours, numpys = _RunSeed(master, stream), reference_seed_sequence(master, stream)
+        for n_words in range(17):
+            for dtype in (np.uint32, np.uint64, "uint32", np.dtype("<u8")):
+                want = numpys.generate_state(n_words, dtype)
+                got = ours.generate_state(n_words, dtype)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    @given(_UINT64, _UINT64)
+    @_edge_pairs
+    def test_generator_state(self, master, stream):
+        state = make_generator(RngSeed(master, stream)).bit_generator.state
+        assert state == reference_generator(master, stream).bit_generator.state
+
+    def test_derived_run_streams(self):
+        # the streams a campaign actually keys, for two masters in turn
+        for master in (0, 2**64 - 1):
+            for index in range(200):
+                seed = derive_run_seed(RngSeed(master), index)
+                want = reference_generator(seed.master, seed.stream).bit_generator.state
+                assert make_generator(seed).bit_generator.state == want
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, "uint16"])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match="only support uint32 or uint64"):
+            reference_seed_sequence(3, 4).generate_state(4, dtype)
+        with pytest.raises(ValueError, match="only support uint32 or uint64"):
+            _RunSeed(3, 4).generate_state(4, dtype)
+
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32])
+    def test_numpy_integer_seed(self, kind):
+        ours = _RunSeed(kind(2**31 + 5), kind(12345)).generate_state(4, np.uint64)
+        assert np.array_equal(ours, reference_seed_sequence(2**31 + 5, 12345).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("master,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_out_of_range_rejected(self, master, stream):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            _RunSeed(master, stream)
+
+    @given(_UINT64, _UINT64)
+    @example(0, 0)
+    @example(2**64 - 1, 2**32)
+    def test_spawn(self, master, stream):
+        # children, and children of a second spawn, are the SeedSequence's
+        ours, numpys = _RunSeed(master, stream), reference_seed_sequence(master, stream)
+        for count in (3, 2):
+            got, want = ours.spawn(count), numpys.spawn(count)
+            assert [c.spawn_key for c in got] == [c.spawn_key for c in want]
+            assert all(
+                np.array_equal(a.generate_state(4, np.uint64), b.generate_state(4, np.uint64))
+                for a, b in zip(got, want)
+            )
+        assert ours.n_children_spawned == numpys.n_children_spawned == 5
+
+    @pytest.mark.skipif(not hasattr(np.random.Generator, "spawn"), reason="Generator.spawn is numpy 1.25+")
+    def test_generator_spawn(self):
+        got = make_generator(RngSeed(9, 2**40 + 1)).spawn(3)
+        want = reference_generator(9, 2**40 + 1).spawn(3)
+        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+
+    def test_pickle_round_trip(self):
+        g = make_generator(derive_run_seed(RngSeed(11), 4))
+        g.random(7)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy.bit_generator.state == g.bit_generator.state
+        assert np.array_equal(copy.random(5), g.random(5))
