@@ -19,8 +19,8 @@ earlier runs on that key computed: each stage's outcome-one probability
 per window state, and each outcome's ``BitString`` and estimate
 ``Phase``.  The memo holds one key, stores from that key's second run
 on, and holds at most 2**12 entries.  Every run still draws its own
-trials, in the same order, from its own generator, so sharing changes
-no bit.
+trials, in the same order, from its generator or source, so sharing
+changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws`: one generator call for a run of up
@@ -29,7 +29,9 @@ microsecond each, and each row sorted so that a stage counts its votes
 below p by bisection instead of a numpy compare.  Each stage still
 counts with one :func:`~qpesim.sampling.run_trials` call on that
 source, and the counts and the generator's state after the run are
-those of per-stage draws.
+those of per-stage draws.  A caller of many runs on one generator may
+pass one source for all of them, so that short runs share its blocks
+(``refsim.empirical_vs_exact`` does).
 """
 
 from __future__ import annotations
@@ -205,7 +207,9 @@ _memo: tuple[
 ] = (None, {}, {})
 
 
-def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> EstimationResult:
+def semiclassical_estimate(
+    phi: Phase, cfg: EstimatorConfig, rng: Generator | RunDraws
+) -> EstimationResult:
     """Run the measurement-feedback engine against the eigenphase ``phi``.
 
     Stage i (i = n+guard down to 1) works on 2**(i-1) * phi: corrections
@@ -244,11 +248,14 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     and a function of the key and the stage state alone; the memo never
     touches the generator.
 
-    The run wraps ``rng`` in one :class:`~qpesim.sampling.RunDraws` of
-    ``n + guard`` rows of ``reps`` uniforms, and each stage calls
-    :func:`~qpesim.sampling.run_trials` once, in order, on that source.
-    It counts the votes per-stage draws on ``rng`` would count, and
-    leaves ``rng`` where they would have left it.
+    A generator ``rng`` is wrapped in one
+    :class:`~qpesim.sampling.RunDraws` of ``n + guard`` rows of ``reps``
+    uniforms; a ``RunDraws`` is read in place, and the run raises before
+    drawing unless its rows hold ``reps`` uniforms and ``n + guard`` are
+    left.  Each stage calls :func:`~qpesim.sampling.run_trials` once, in
+    order, on the source.  The run counts the votes per-stage draws on
+    the generator would count, and leaves it where they would have left
+    it once the source's rows are all read.
     """
     width = phi.width
     total_stages = cfg.n + cfg.guard
@@ -269,7 +276,10 @@ def semiclassical_estimate(phi: Phase, cfg: EstimatorConfig, rng: Generator) -> 
     oracle = cfg.feedback is Feedback.ORACLE
     reps = cfg.reps
     tests = reps * total_stages
-    rng = RunDraws(rng, total_stages, reps)
+    if rng.__class__ is RunDraws:
+        rng.require(total_stages, reps)
+    else:
+        rng = RunDraws(rng, total_stages, reps)
     decided = 0  # x_i at bit width - i, aligned with raw
     ones: list[int] = []
     for i in range(total_stages, 0, -1):

@@ -39,9 +39,11 @@ _BYTE_DIGITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) fo
 
 _BINARY_LITERAL = re.compile(r"^0\.([01]+)b$")
 _RAW_LITERAL = re.compile(r"^(\d+)@(\d+)$")
+# The exponent of a decimal literal, in the digits-and-underscores form Fraction reads.
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
 
 # Widest raw@width literal: a Phase builds 2**width, so a huge width would exhaust memory.
-# Also the most digits a decimal literal may have.
+# Also the most digits a decimal literal may have, and its exponent's largest magnitude.
 MAX_LITERAL_WIDTH = 4096
 # Characters of a rejected literal that its error message repeats.
 _ECHO_CHARS = 40
@@ -204,8 +206,9 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
     Three forms are accepted: a binary fraction with ``b`` suffix
     (``0.101101b``, exact), a raw/width pair (``181@8`` meaning 181/2**8,
     exact, width taken from the literal, at most ``MAX_LITERAL_WIDTH``),
-    or a decimal in [0, 1) of at most ``MAX_LITERAL_WIDTH`` digits
-    (rounded to the nearest width-bit value, ties to even).  A rejected
+    or a decimal in [0, 1) of at most ``MAX_LITERAL_WIDTH`` digits and
+    an exponent of magnitude at most ``MAX_LITERAL_WIDTH`` (rounded to
+    the nearest width-bit value, ties to even).  A rejected
     literal's message repeats at most its first 40 characters.
     """
     text = text.strip()
@@ -226,6 +229,12 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
     digits = sum(map(str.isdigit, text))
     if digits > MAX_LITERAL_WIDTH:
         raise ValueError(f"decimal phase literal of {digits} digits exceeds the cap of {MAX_LITERAL_WIDTH} digits")
+    # Read before Fraction(), which builds 10**exponent; the digit cap keeps int() cheap.
+    m = _DECIMAL_EXPONENT.search(text)
+    if m and int(m.group(1)) > MAX_LITERAL_WIDTH:
+        raise ValueError(
+            f"decimal phase literal's exponent exceeds the cap of {MAX_LITERAL_WIDTH} in magnitude"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -25,6 +25,7 @@ from numpy.random import Generator
 from .bounds import qft_lower_bound
 from .estimators import full_qft_config, semiclassical_estimate
 from .phase import DEFAULT_WIDTH, Phase
+from .sampling import RunDraws
 
 MAX_DENSE_BITS = 14
 # Largest register the sampled comparison runs: its tally has 2**n entries.
@@ -108,7 +109,12 @@ def best_outcome_mass(dist: OutcomeDistribution, phi: Phase) -> float:
 
 
 def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> float:
-    """Total-variation distance between sampled full-QFT outcomes and the exact law."""
+    """Total-variation distance between sampled full-QFT outcomes and the exact law.
+
+    The runs read their rows, in order, from one
+    :class:`~qpesim.sampling.RunDraws` on ``rng``, and leave ``rng`` where
+    runs drawing their own rows would.
+    """
     if n > MAX_SAMPLED_BITS:
         raise ValueError(f"empirical comparison capped at {MAX_SAMPLED_BITS} bits")
     if samples < 1:
@@ -116,9 +122,10 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
     cfg = full_qft_config(n)
     shift = phi.width - n
     counts = [0] * (1 << n)
+    draws = RunDraws(rng, samples * n, 1)
     for _ in range(samples):
         # the estimate's top n bits are the outcome, without a loop over the bits
-        counts[semiclassical_estimate(phi, cfg, rng).estimate.raw >> shift] += 1
+        counts[semiclassical_estimate(phi, cfg, draws).estimate.raw >> shift] += 1
     exact = qpe_distribution_exact(phi, n).probs
     return 0.5 * float(np.abs(np.array(counts) / samples - exact).sum())
 

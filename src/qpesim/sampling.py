@@ -18,10 +18,10 @@ Its state words, and so every PCG64 state, are SeedSequence's for every
 A ``Generator.random(k)`` call consumes the stream exactly as k scalar
 ``random()`` calls do and returns the same doubles, so how a run splits
 its draws into calls changes neither its outcomes nor the generator's
-state after it.  :class:`RunDraws` relies on that: it draws a run's
-rows of uniforms in blocks, one generator call for up to ``_CHUNK``
-uniforms, and :func:`run_trials` counts each row from the block in one
-call.
+state after it.  :class:`RunDraws` relies on that: it draws rows of
+uniforms of one stream (one run's, or many consecutive runs') in blocks,
+one generator call for up to ``_CHUNK`` uniforms, and :func:`run_trials`
+counts each row from the block in one call.
 
 Two more clauses make that exact.  Sorted rows: a block's rows are
 sorted in place before they are counted, and a count of the uniforms
@@ -50,6 +50,9 @@ _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
 # Largest uniform batch one run_trials request or RunDraws block draws
 # (512 KiB of doubles).
 _CHUNK = 1 << 16
+# Most one-uniform rows a RunDraws block holds, as a Python list of about
+# 32 bytes a row: 2**10 rows raised validate's peak RSS by about 0.1 MB.
+_LIST_ROWS = 1 << 8
 # Longest row a RunDraws block holds: up to about here, sorting a row and
 # bisecting it costs no more than a numpy compare-and-count of it (under
 # timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Longer rows are read
@@ -256,8 +259,9 @@ def make_generator(seed: RngSeed) -> Generator:
 
 
 class RunDraws:
-    """``rows`` rows of ``size`` uniforms of one run, drawn from ``rng`` in sorted blocks.
+    """``rows`` rows of ``size`` uniforms of one stream, drawn from ``rng`` in sorted blocks.
 
+    The rows may be one run's or span many consecutive runs on ``rng``.
     Each row is read by one :func:`run_trials` request of exactly
     ``size`` trials, in order.  A request finding no unread row draws the
     next ``min(rows left, _CHUNK // size)`` rows with one ``rng.random``
@@ -266,12 +270,14 @@ class RunDraws:
     uniforms within their row but changes none, so the count is the one
     ``count_nonzero(rng.random(size) < p)`` gives.  Rows of one uniform
     are not sorted and are read from a list with one compare each, which
-    costs less than a bisection call.  Rows longer than ``_ROW_MAX`` are
+    costs less than a bisection call; a block holds at most
+    ``min(_LIST_ROWS, _CHUNK)`` of them.  Rows longer than ``_ROW_MAX`` are
     not blocked at all: each request reads its row from ``rng`` through
     the chunked path of :func:`run_trials`.
 
     A request of another size, or past the last row, raises before
-    anything is drawn.  Once every row is read, ``rng`` is where the same
+    anything is drawn, as does :meth:`require` for a run that would make
+    one.  Once every row is read, ``rng`` is where the same
     requests on it would have left it.  A run that stops early calls
     :meth:`rewind` to put ``rng`` back where reading only the rows read
     so far would have left it.
@@ -289,7 +295,7 @@ class RunDraws:
     def _draw(self) -> None:
         """Draw the next block of rows and sort each row."""
         size = self._size
-        k = min(self._rows, _CHUNK // size)
+        k = min(self._rows, _CHUNK // size if size > 1 else min(_LIST_ROWS, _CHUNK))
         block = self._rng.random(k * size)
         self._rows -= k
         if size == 1:
@@ -298,6 +304,13 @@ class RunDraws:
             block.reshape(k, size).sort(axis=1)
             self._view = memoryview(block)
         self._end = k * size
+
+    def require(self, rows: int, size: int) -> None:
+        """Raise, drawing nothing, unless ``rows`` more requests of ``size`` uniforms can be served."""
+        if size != self._size:
+            raise ValueError(f"request of {size} uniforms from rows of {self._size}")
+        if rows > self._rows + (self._end - self._pos) // size:
+            raise ValueError("request past the run's last row")
 
     def rewind(self) -> None:
         """Move ``rng`` back over the drawn rows not yet read.

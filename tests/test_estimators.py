@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qpesim import estimators
+from qpesim import estimators, refsim, sampling
 from qpesim.estimators import (
     EstimationResult,
     EstimatorConfig,
@@ -31,7 +31,7 @@ from qpesim.phase import (
     phase_from_bits,
     post_h_prob_one,
 )
-from qpesim.sampling import _CHUNK, _ROW_MAX, RngSeed, make_generator, run_trials
+from qpesim.sampling import _CHUNK, _ROW_MAX, RngSeed, RunDraws, make_generator, run_trials
 from reference import LoggedGenerator, majority
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
@@ -509,6 +509,62 @@ class TestRunDrawsReplay:
         assert logged.sizes == calls
 
 
+# Consecutive runs on one source: single shots and an odd majority, both feedbacks.
+_SHARED_CASES = [
+    EstimatorConfig(n=6, window=5),
+    EstimatorConfig(n=6, window=5, feedback=Feedback.ORACLE),
+    EstimatorConfig(n=4, window=2, reps=5, guard=2),
+    EstimatorConfig(n=4, window=2, reps=5, guard=2, feedback=Feedback.ORACLE),
+]
+_SHARED_IDS = ["reps-1-estimated", "reps-1-oracle", "reps-5-estimated", "reps-5-oracle"]
+
+
+class TestSharedSource:
+    """k runs on one caller-built ``RunDraws`` against k runs on the bare generator."""
+
+    @pytest.mark.parametrize("chunk", [None, 37], ids=["real-blocks", "blocks-of-37"])
+    @pytest.mark.parametrize("cfg", _SHARED_CASES, ids=_SHARED_IDS)
+    def test_runs_on_one_source_match_runs_on_the_generator(self, cfg, chunk, monkeypatch):
+        # 200 runs of 6 rows cross a block boundary inside a run at either block
+        # size (256 or 37 one-uniform rows, 13 107 or 7 rows of 5); the phases
+        # take turns, so the stage memo's key changes between runs too
+        if chunk is not None:
+            monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        k = 200
+        phases = [*_fixed_phases(64, cfg.n + cfg.guard), Phase(0x9E3779B97F4A7C15)]
+        for seed in (0, 5):
+            shared, bare = gen(seed), gen(seed)
+            source = RunDraws(shared, k * (cfg.n + cfg.guard), cfg.reps)
+            for run in range(k):
+                phi = phases[run % len(phases)]
+                got = semiclassical_estimate(phi, cfg, source)
+                want = semiclassical_estimate(phi, cfg, bare)
+                assert (got.bits, got.estimate, got.stage_log, got.total_tests) == (
+                    want.bits, want.estimate, want.stage_log, want.total_tests
+                ), f"seed {seed}, run {run}"
+            assert shared.bit_generator.state == bare.bit_generator.state
+
+    @pytest.mark.parametrize("cfg", _SHARED_CASES[::2], ids=_SHARED_IDS[::2])
+    def test_wrong_size_or_exhausted_source_draws_nothing(self, cfg, monkeypatch):
+        # blocks of exactly one run's rows: a second run finds 4 rows undrawn
+        # of the 6 it needs, and must not draw them before it raises
+        rows = cfg.n + cfg.guard
+        monkeypatch.setattr(sampling, "_CHUNK", rows * cfg.reps)
+        phi = Phase(0x9E3779B97F4A7C15)
+        g = gen(3)
+        state = g.bit_generator.state
+        wrong = f"request of {cfg.reps} uniforms from rows of {cfg.reps + 2}"
+        with pytest.raises(ValueError, match=wrong):
+            semiclassical_estimate(phi, cfg, RunDraws(g, 10 * rows, cfg.reps + 2))
+        assert g.bit_generator.state == state
+        source = RunDraws(g, 2 * rows - 2, cfg.reps)
+        semiclassical_estimate(phi, cfg, source)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="past the run's last row"):
+            semiclassical_estimate(phi, cfg, source)
+        assert g.bit_generator.state == state
+
+
 class TestStageLog:
     CASES = [
         (Phase(0x5DEECE66D2B7A3F1, 64), EstimatorConfig(n=6, window=5)),
@@ -621,3 +677,12 @@ class TestPinnedCallCounts:
         for run, phi in enumerate(phases, start=1):
             semiclassical_estimate(phi, cfg, gen(run))
             assert len(trials) == 18 * run
+
+    def test_sampled_comparison_runs_once_per_sample(self, count_calls):
+        # perfbench/run.py pins one engine call and n run_trials calls per
+        # validate sample; the runs share one source and still count per stage
+        runs = count_calls(refsim, "semiclassical_estimate")
+        trials = count_calls(estimators, "run_trials")
+        refsim.empirical_vs_exact(Phase(0x9E3779B97F4A7C15), 5, 300, gen(2))
+        assert len(runs) == 300
+        assert [m for _, m, _ in trials] == [1] * 1500

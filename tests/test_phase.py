@@ -132,6 +132,35 @@ class TestParsing:
             f"decimal phase literal of {digits} digits exceeds the cap of {MAX_LITERAL_WIDTH} digits"
         )
 
+    @pytest.mark.parametrize(
+        "text", ["1e-9999999", "1E-4097", "0.5e-4_097", "1e9999999", "1e+4097", "0E4097"]
+    )
+    def test_decimal_exponent_read_before_fraction(self, text):
+        # Fraction would build 10**9999999 first: seconds for a 10-character literal
+        with pytest.raises(ValueError) as info:
+            parse_phase(text)
+        assert str(info.value) == (
+            f"decimal phase literal's exponent exceeds the cap of {MAX_LITERAL_WIDTH} in magnitude"
+        )
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1e-4096", Fraction(1, 10**4096)),
+            ("0." + "1" * 4000 + "e-4096", Fraction("0." + "1" * 4000) / 10**4096),
+            ("25E-2", Fraction(1, 4)),
+            ("0.0025e+2", Fraction(1, 4)),
+            ("0e4096", Fraction(0)),
+        ],
+        ids=["negative-at-cap", "long-at-cap", "negative", "positive", "positive-at-cap"],
+    )
+    def test_decimal_exponent_within_cap_parses(self, text, value):
+        assert parse_phase(text) == phase_from_fraction(value)
+
+    def test_decimal_exponent_at_cap_still_range_checked(self):
+        with pytest.raises(ValueError, match=r"^phase value must lie in \[0, 1\)$"):
+            parse_phase("1e4096")
+
     def test_rejected_literal_echo_is_short(self):
         with pytest.raises(ValueError) as info:
             parse_phase("x" * 5000)
