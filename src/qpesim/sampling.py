@@ -9,11 +9,13 @@ integer stream.  Independent runs never share a generator; they each get
 a stream derived with :func:`derive_run_seed`.
 
 :func:`make_generator` keys PCG64 through :class:`_RunSeed`, which
-computes SeedSequence's hash itself: the part that reads only the
-master is done once per master, and each run mixes in only its stream.
-Its state words, and so every PCG64 state, are SeedSequence's for every
-64-bit (master, stream) pair; the seeding parity test in
-``tests/test_sampling.py`` checks them against SeedSequence itself.
+hashes PCG64's one request itself: numpy's SeedSequence gives the
+master's pool, once per master, and each run mixes in only its stream
+and hashes the pool into PCG64's 4 state words.  Any other request goes
+to numpy's SeedSequence.  The state words, and so every PCG64 state,
+are SeedSequence's for every 64-bit (master, stream) pair; the seeding
+parity tests in ``tests/test_sampling.py`` check them against
+SeedSequence itself.
 
 A ``Generator.random(k)`` call consumes the stream exactly as k scalar
 ``random()`` calls do and returns the same doubles, so how a run splits
@@ -109,12 +111,12 @@ def derive_run_seed(seed: RngSeed, index: int) -> RngSeed:
     return RngSeed(seed.master, mixed)
 
 
-# numpy's SeedSequence hash on its pool of 4 words (O'Neill's seed_seq_fe).
-# Each hashmix step XORs in the running hash constant, steps the constant
-# by its multiplier and multiplies by it, so the (XOR, multiplier) key of
-# every step is fixed by the step's position alone.  The per-run steps
-# are written out over the 4 pool words (``_hash4``, ``_mix_word``): a
-# loop over them costs about a third more per run.
+# The per-run steps of numpy's SeedSequence hash on its pool of 4 words
+# (O'Neill's seed_seq_fe).  Each hashmix step XORs in the running hash
+# constant, steps the constant by its multiplier and multiplies by it, so
+# the (XOR, multiplier) key of every step is fixed by the step's position
+# alone.  The steps are written out over the 4 pool words (``_hash4``,
+# ``_mix_word``): a loop over them costs about a third more per run.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashmix of the pool into the state words
@@ -133,41 +135,27 @@ def _hash_keys(hash_const: int, mult: int, steps: int) -> _Keys:
 
 
 # The master's 4 words and its 12 cross-mixes take keys 0..15, each
-# stream word the next 4 (a stream of 64 bits has 2 words).
+# stream word the next 4 (a stream of 64 bits has 2 words).  PCG64's 4
+# uint64 state words are 8 uint32 words, 4 to a ``_hash4``.
 _ENTROPY_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
 _STREAM_KEYS = (_ENTROPY_KEYS[16:20], _ENTROPY_KEYS[20:24])
-
-
-def _hashmix(value: int, key: tuple[int, int]) -> int:
-    x, m = key
-    h = (value ^ x) * m & _M32
-    return h ^ h >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
+_OUTPUT_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
 
 
 @lru_cache(maxsize=1)
-def _master_pool(master: int) -> tuple[int, int, int, int]:
-    """The pool SeedSequence holds once ``master``, zero-padded to 4 words, is mixed in.
+def _master_pool(master: int) -> tuple[int, ...]:
+    """The pool numpy's ``SeedSequence(master)`` holds.
 
-    A spawn key pads the entropy to the pool size, so this pool, and the
-    hash constant it leaves (the one ``_STREAM_KEYS`` starts from),
-    depend on the master alone; the stream's words are mixed in after.
+    A spawn key pads the entropy to the pool size, so this is also the
+    pool of ``SeedSequence(entropy=master, spawn_key=(stream,))`` before
+    the stream's words are mixed in, after keys 0..15 (``_STREAM_KEYS``
+    starts at key 16).
     """
-    keys = iter(_ENTROPY_KEYS)
-    pool = [_hashmix(word, next(keys)) for word in (master & _M32, master >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(keys)))
-    return tuple(pool)
+    return tuple(SeedSequence(master).pool.tolist())
 
 
 def _hash4(words: Any, keys: _Keys) -> tuple[int, int, int, int]:
-    """``_hashmix`` of 4 words, word i under ``keys[i]``."""
+    """The hashmix of 4 words, word i under ``keys[i]``."""
     (x0, m0), (x1, m1), (x2, m2), (x3, m3) = keys
     w0, w1, w2, w3 = words
     h0 = (w0 ^ x0) * m0 & _M32
@@ -178,7 +166,7 @@ def _hash4(words: Any, keys: _Keys) -> tuple[int, int, int, int]:
 
 
 def _mix_word(pool: Any, word: int, keys: _Keys) -> tuple[int, int, int, int]:
-    """``_mix`` of each pool word with ``word`` hashed under its key."""
+    """Each pool word mixed with ``word`` hashed under its key."""
     h0, h1, h2, h3 = _hash4((word, word, word, word), keys)
     p0, p1, p2, p3 = pool
     r0 = (_MIX_L * p0 - _MIX_R * h0) & _M32
@@ -188,64 +176,52 @@ def _mix_word(pool: Any, word: int, keys: _Keys) -> tuple[int, int, int, int]:
     return r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16
 
 
-@lru_cache(maxsize=2)
-def _output_keys(words: int) -> tuple[_Keys, ...]:
-    """The keys of ``words`` state words, 4 at a time (the last 4 may run past ``words``)."""
-    keys = _hash_keys(_INIT_B, _MULT_B, -(-words // 4) * 4)
-    return tuple(keys[i:i + 4] for i in range(0, len(keys), 4))
-
-
 class _RunSeed(ISpawnableSeedSequence):
-    """``SeedSequence(entropy=master, spawn_key=(stream,))``, hashed without numpy.
+    """``SeedSequence(entropy=master, spawn_key=(stream,))``, PCG64's request hashed here.
 
-    ``generate_state`` returns the words SeedSequence's does, for any
-    count and for ``uint32`` and ``uint64``.  The master's share of the
-    hash is cached per master; a run hashes only its stream's 1 or 2
-    words into the pool and the pool into the state words.  ``spawn``
-    delegates to SeedSequence, so ``Generator.spawn`` works as on a
-    SeedSequence-keyed generator.
+    ``generate_state(4, np.uint64)``, the one request PCG64 makes, is
+    hashed in Python: the stream's 1 or 2 words into the master's pool
+    (numpy's, cached per master), then the pool into 8 state words.
+    Every other request, and ``spawn``, goes to the equal SeedSequence,
+    built on first use, so each answers, or raises, as numpy does.
     """
 
-    __slots__ = ("master", "stream", "n_children_spawned")
+    __slots__ = ("master", "stream", "_seed_seq")
 
     def __init__(self, master: int, stream: int) -> None:
         self.master = operator.index(master)
         self.stream = operator.index(stream)
         if not (0 <= self.master <= _MASK64 and 0 <= self.stream <= _MASK64):
             raise ValueError("master and stream must be 64-bit unsigned integers")
-        self.n_children_spawned = 0
+        self._seed_seq: SeedSequence | None = None
+
+    def _numpy(self) -> SeedSequence:
+        """The equal SeedSequence, built on first use."""
+        if self._seed_seq is None:
+            self._seed_seq = SeedSequence(entropy=self.master, spawn_key=(self.stream,))
+        return self._seed_seq
 
     def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-        """``n_words`` state words of ``dtype`` (``uint32`` or ``uint64``), as SeedSequence's."""
-        out_dtype = np.dtype(dtype)
-        wide = out_dtype == np.uint64
-        if wide:
-            n_words *= 2
-        elif out_dtype != np.uint32:
-            raise ValueError("only support uint32 or uint64")
+        """``n_words`` state words of ``dtype``, as SeedSequence's."""
+        if n_words.__class__ is not int or n_words != 4 or dtype is not np.uint64:
+            return self._numpy().generate_state(n_words, dtype)
         stream = self.stream
         pool = _mix_word(_master_pool(self.master), stream & _M32, _STREAM_KEYS[0])
         if stream >> 32:
             pool = _mix_word(pool, stream >> 32, _STREAM_KEYS[1])
-        state: list[int] = []
-        for keys in _output_keys(n_words):
-            state += _hash4(pool, keys)
-        del state[n_words:]
-        if wide:
-            # uint64 word i is uint32 words 2i (low half) and 2i + 1, as SeedSequence reads them
-            return np.array([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], dtype=np.uint64)
-        return np.array(state, dtype=np.uint32)
+        # uint64 word i is uint32 words 2i (low half) and 2i + 1, as SeedSequence reads them
+        w0, w1, w2, w3 = _hash4(pool, _OUTPUT_KEYS[:4])
+        w4, w5, w6, w7 = _hash4(pool, _OUTPUT_KEYS[4:])
+        return np.array([w0 | w1 << 32, w2 | w3 << 32, w4 | w5 << 32, w6 | w7 << 32], dtype=np.uint64)
 
     def spawn(self, n_children: int) -> list[SeedSequence]:
-        """The next ``n_children`` children the equal SeedSequence would spawn."""
-        parent = SeedSequence(
-            entropy=self.master,
-            spawn_key=(self.stream,),
-            n_children_spawned=self.n_children_spawned,
-        )
-        children = parent.spawn(n_children)
-        self.n_children_spawned = parent.n_children_spawned
-        return children
+        """The next ``n_children`` children the equal SeedSequence spawns."""
+        return self._numpy().spawn(n_children)
+
+    @property
+    def n_children_spawned(self) -> int:
+        """How many children ``spawn`` has made, as SeedSequence counts them."""
+        return self._numpy().n_children_spawned
 
 
 def make_generator(seed: RngSeed) -> Generator:
@@ -253,7 +229,7 @@ def make_generator(seed: RngSeed) -> Generator:
 
     Its state is the one ``SeedSequence(entropy=seed.master,
     spawn_key=(seed.stream,))`` gives PCG64; :class:`_RunSeed` computes
-    it, with the master's share of the hash done once per master.
+    it from the master's pool, taken from numpy once per master.
     """
     return Generator(PCG64(_RunSeed(seed.master, seed.stream)))
 
@@ -337,12 +313,12 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
 
     Consumes exactly the same uniform stream as m successive
     ``rng.random() < p`` draws, so batched and one-at-a-time sampling are
-    interchangeable.  A single trial draws one scalar; larger batches
-    draw at most ``_CHUNK`` uniforms at a time, so memory stays bounded
-    for any m.  ``rng`` may be a :class:`RunDraws`, whose next row, of
-    exactly m uniforms, is counted: by bisection on its sorted block,
-    with one compare for a row of one uniform, or through the chunked
-    path for a row longer than ``_ROW_MAX``.
+    interchangeable.  It draws at most ``_CHUNK`` uniforms a call, so
+    memory stays bounded for any m.  ``rng`` may be a
+    :class:`RunDraws`, whose next row, of exactly m uniforms, is counted:
+    by bisection on its sorted block, with one compare for a row of one
+    uniform, or through the chunked path for a row longer than
+    ``_ROW_MAX``.
     """
     if m < 1:
         raise ValueError("trial count must be positive")
@@ -369,8 +345,6 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
 
 def _count(p: float, m: int, rng: Generator) -> int:
     """The uniforms below ``p`` among the next ``m`` that ``rng`` draws."""
-    if m == 1:
-        return 1 if rng.random() < p else 0
     h = 0
     while m > _CHUNK:
         h += int(np.count_nonzero(rng.random(_CHUNK) < p))

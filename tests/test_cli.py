@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpesim import estimators, kitaev
-from qpesim.cli import _emit, _random_phase, _run_setup, build_parser, main
+from qpesim.cli import _ALGOS, _emit, _random_phase, _run_setup, build_parser, main
 from qpesim.estimators import constant_precision_config
 from qpesim.kitaev import KitaevConfig, trials_per_basis
 from qpesim.sampling import RngSeed, make_generator
@@ -730,3 +734,128 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []"
+
+
+# Values no flag may turn into a traceback: non-finite and signed floats,
+# a subnormal underflow, numbers past every cap, and text that is none of these.
+_ODD_VALUES = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "-1", "0", "-0", "1e-400", "1e400", "1" * 30,
+     "-" + "9" * 30, "1" * 29 + ".5", "", " ", "x", "0x10", "1__0", "1,2", "1e", "--"]
+)
+# Malformed phase literals, and literals at the edges of what parses.
+_ODD_PHASES = st.one_of(
+    _ODD_VALUES,
+    st.sampled_from(
+        ["1@0", "0@0", "3@1", "0.2b", "1.5b", "0.1.1b", "1.25", "1", "-0.5", "@", "5@", "@5",
+         "1@-3", "1@99999", "1e-99999", "0" * 30 + "1@8", "0." + "1" * 30, "b", "0b", ".b",
+         "0.5@", "0.5e", "1e-4096"]
+    ),
+    st.text(alphabet="01.5b@e-+_x ", max_size=8),
+)
+_EPS = st.floats(min_value=1e-15, max_value=0.5).map(repr)
+_FORMATS = st.sampled_from(["json", "table", "csv"])
+# Each subcommand's flags: the strategy of a well-formed value (None for a
+# switch) and of an ill-formed one.  Counts stay small: --bits at most 6,
+# --runs 20, --samples 200, --reps 31.
+_RUN_FLAGS = {
+    "--algo": (st.sampled_from(["kitaev", "qft", "aqft", "const"]), _ODD_VALUES),
+    "--phase": (
+        st.one_of(
+            st.sampled_from(["random", "0.101b", "0.703125", "181@8", "0@1"]),
+            st.floats(min_value=0, max_value=1, exclude_max=True).map(repr),
+        ),
+        _ODD_PHASES,
+    ),
+    "--bits": (st.integers(1, 6).map(str), _ODD_VALUES),
+    "--eps": (_EPS, _ODD_VALUES),
+    "--degree": (st.integers(2, 6).map(str), _ODD_VALUES),
+    "--reps": (st.integers(1, 31).map(str), _ODD_VALUES),
+    "--guard": (st.integers(0, 3).map(str), _ODD_VALUES),
+    "--feedback": (st.sampled_from(["estimated", "oracle"]), _ODD_VALUES),
+    "--seed": (st.integers(0, 2**64 - 1).map(str), _ODD_VALUES),
+    "--format": (_FORMATS, _ODD_VALUES),
+    "--exact-constants": (None, None),
+}
+_COMMAND_FLAGS = {
+    "estimate": _RUN_FLAGS,
+    "montecarlo": {**_RUN_FLAGS, "--runs": (st.integers(1, 20).map(str), _ODD_VALUES)},
+    "table": {
+        "--probs": (st.lists(st.floats(0.01, 0.99).map(repr), min_size=1, max_size=4).map(",".join),
+                    _ODD_VALUES),
+        "--exact-constants": (None, None),
+        "--format": (_FORMATS, _ODD_VALUES),
+    },
+    "compare": {
+        "--eps-max": (st.floats(min_value=1e-2, max_value=0.5).map(repr), _ODD_VALUES),
+        "--eps-min": (st.floats(min_value=1e-15, max_value=1e-3).map(repr), _ODD_VALUES),
+        "--points": (st.integers(2, 200).map(str), _ODD_VALUES),
+        "--eps-list": (st.lists(_EPS, min_size=1, max_size=4).map(",".join), _ODD_VALUES),
+        "--exact-constants": (None, None),
+        "--format": (_FORMATS, _ODD_VALUES),
+    },
+    "validate": {
+        "--bits": (st.integers(1, 6).map(str), _ODD_VALUES),
+        "--samples": (st.integers(1, 200).map(str), _ODD_VALUES),
+        "--phase": (st.floats(min_value=0, max_value=1, exclude_max=True).map(repr), _ODD_PHASES),
+        "--seed": (st.integers(0, 2**64 - 1).map(str), _ODD_VALUES),
+    },
+}
+
+
+@st.composite
+def _argv(draw: st.DrawFn) -> list[str]:
+    """A subcommand and some of its flags: all well formed, or not.
+
+    A well-formed argv gives a run command its required flags and only
+    flags its algo takes, so that the run and its output are checked too.
+    Otherwise each flag is given or left out and its value is ill formed
+    at even odds, and a stray token may follow.  ``--runs`` and
+    ``--samples`` are always given, so no run falls back to their large
+    defaults.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    algo = draw(_RUN_FLAGS["--algo"][0])
+    well_formed = draw(st.booleans())
+    required: set[str] = set()
+    takes = set(_COMMAND_FLAGS[command])
+    if command in ("estimate", "montecarlo"):
+        required = {"--algo", "--bits"}
+        takes = {"--phase", "--seed", "--format", "--runs"}
+        takes |= {"--" + name.replace("_", "-") for name in _ALGOS[algo][1]}
+    argv = [command]
+    for flag, (good, odd) in _COMMAND_FLAGS[command].items():
+        if flag in ("--runs", "--samples"):
+            given = True
+        elif well_formed:
+            given = flag in required or (flag in takes and draw(st.booleans()))
+        else:
+            given = draw(st.booleans())
+        if not given:
+            continue
+        if good is None:
+            argv.append(flag)
+        elif well_formed or draw(st.booleans()):
+            argv += [flag, algo if flag == "--algo" else draw(good)]
+        else:
+            argv += [flag, draw(odd)]
+    if not well_formed:
+        stray = draw(st.sampled_from([None, "--nope", "--bits", "--format", "extra"]))
+        argv += [stray] if stray else []
+    return argv
+
+
+class TestNoTraceback:
+    """Whatever the argv, ``main`` ends in exit code 0, 1 or 2 and raises nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_argv())
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = exit_code(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code == 1:
+            # a usage or value error writes its message, and only that, to stderr
+            assert out.getvalue() == "" and err.getvalue() != "", argv
+        if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            json.loads(out.getvalue())

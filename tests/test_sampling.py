@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestRunTrials:
         assert batched == singles
 
     def test_single_trial_matches_batched_draw(self):
-        # the scalar m == 1 path reads the same uniform as rng.random(1)
+        # a one-trial request reads the same uniform as rng.random(1)
         g, ref = gen(11), gen(11)
         for p in np.linspace(0.0, 1.0, 257):
             assert run_trials(float(p), 1, g) == int(np.count_nonzero(ref.random(1) < p))
@@ -367,8 +368,8 @@ class TestSeedingParity:
     """``make_generator`` keys PCG64 to the state numpy's SeedSequence gives it.
 
     The reproducibility contract is stated on ``SeedSequence(entropy=master,
-    spawn_key=(stream,))``; these tests hold ``_RunSeed``, which computes that
-    hash itself, to numpy's, bit for bit.
+    spawn_key=(stream,))``; these tests hold ``_RunSeed``, which hashes PCG64's
+    request itself and hands the rest to SeedSequence, to numpy's, bit for bit.
     """
 
     @given(_UINT64, _UINT64)
@@ -402,6 +403,26 @@ class TestSeedingParity:
             reference_seed_sequence(3, 4).generate_state(4, dtype)
         with pytest.raises(ValueError, match="only support uint32 or uint64"):
             _RunSeed(3, 4).generate_state(4, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    @pytest.mark.parametrize("n_words", [-1, 2.5, 4.0])
+    def test_bad_word_counts_raise_as_numpy(self, n_words, dtype):
+        with pytest.raises(Exception) as numpys:
+            reference_seed_sequence(3, 4).generate_state(n_words, dtype)
+        with pytest.raises(numpys.type, match=f"^{re.escape(str(numpys.value))}$"):
+            _RunSeed(3, 4).generate_state(n_words, dtype)
+
+    def test_pcg64_request_is_hashed_here(self, count_calls):
+        # 200 runs of one master build one SeedSequence, for the master's
+        # pool: PCG64's request takes the hand-hashed path, not numpy's
+        built = count_calls(sampling, "SeedSequence")
+        sampling._master_pool.cache_clear()
+        master = RngSeed(2**40 + 3)
+        for index in range(200):
+            seed = derive_run_seed(master, index)
+            want = reference_generator(seed.master, seed.stream).bit_generator.state
+            assert make_generator(seed).bit_generator.state == want
+        assert built == [(master.master,)]
 
     @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32])
     def test_numpy_integer_seed(self, kind):
