@@ -68,11 +68,10 @@ def kitaev_accuracy_threshold() -> float:
 _BUDGET_TOO_SMALL = "failure budget too small: the trial count overflows"
 
 
-def finite_ceil(budget: float) -> int:
-    """Ceiling of a trial budget; a failure budget so small that it overflows is rejected."""
-    if not math.isfinite(budget):
-        raise ValueError(_BUDGET_TOO_SMALL)
-    return math.ceil(budget)
+def log_ratio(c: float, eps: float) -> float:
+    """log(c / eps), as log(c) - log(eps) where the quotient overflows to inf."""
+    ratio = c / eps
+    return math.log(ratio) if ratio != math.inf else math.log(c) - math.log(eps)
 
 
 def per_bit_budget(eps: float, n: int) -> float:
@@ -98,7 +97,7 @@ def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("failure budget must lie in (0, 1)")
-    return finite_ceil(kitaev_coefficient(mode) * math.log(4.0 / eps))
+    return math.ceil(kitaev_coefficient(mode) * log_ratio(4.0, eps))
 
 
 def kitaev_total_budget(
@@ -140,7 +139,7 @@ def const_precision_trials(eps: float, degree: int) -> int:
     else:
         margin = const_precision_success_per_test(degree) - 0.5
         coeff = 1.0 / (2.0 * margin * margin)
-    return finite_ceil(coeff * math.log(1.0 / eps))
+    return math.ceil(coeff * log_ratio(1.0, eps))
 
 
 def round_up_to_odd(m: int) -> int:

@@ -24,7 +24,7 @@ changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws`: one generator call for a run of up
-to 2**16 trials, where one call per stage would cost about a
+to 2**13 trials, where one call per stage would cost about a
 microsecond each, and each row sorted so that a stage counts its votes
 below p by bisection instead of a numpy compare.  Each stage still
 counts with one :func:`~qpesim.sampling.run_trials` call on that
@@ -51,7 +51,7 @@ from .bounds import (
     per_bit_budget,
     round_up_to_odd,
 )
-from .phase import BitString, Phase, check_bit_budget, mod1_distance, phase_from_bits
+from .phase import BitString, Phase, check_bit_budget, phase_from_bits
 from .sampling import RunDraws, run_trials
 
 
@@ -346,33 +346,31 @@ def constant_precision_config(
     return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)
 
 
-def estimate_phase(result: EstimationResult, width: int) -> Phase:
-    """The reported estimate as a width-bit phase.
+def estimate_distance(result: EstimationResult, phi: Phase) -> int:
+    """The estimate's circle distance to phi, in units of 2**-phi.width.
 
-    That is ``result.estimate`` when it has this width; otherwise the
-    bits are converted with ``phase_from_bits``.
+    The estimate is ``result.estimate`` when its width is ``phi.width``
+    (both engines build it from the reported bits), else the bits at
+    ``phi.width``.
     """
-    if result.estimate.width == width:
-        return result.estimate
-    return phase_from_bits(result.bits, width)
+    width = phi.width
+    est = result.estimate if result.estimate.width == width else phase_from_bits(result.bits, width)
+    span = 1 << width
+    d = (est.raw - phi.raw) % span
+    return min(d, span - d)
 
 
 def is_success(result: EstimationResult, phi: Phase, n: int) -> bool:
     """Whether the estimate is within 2**-n of phi on the circle (inclusive).
 
     Inclusive at the boundary: for phi between two n-bit grid points,
-    both neighbours count as success.  The estimate is
-    ``result.estimate`` when its width is ``phi.width`` (both engines
-    build it from the reported bits), else the bits at ``phi.width``.
+    both neighbours count as success.
     """
     if not 1 <= n <= phi.width:
         raise ValueError("n must lie in 1..width")
-    est = estimate_phase(result, phi.width)
-    span = 1 << phi.width
-    d = (est.raw - phi.raw) % span
-    return min(d, span - d) <= (1 << (phi.width - n))
+    return estimate_distance(result, phi) <= 1 << (phi.width - n)
 
 
 def estimation_error(result: EstimationResult, phi: Phase) -> float:
     """Mod-1 distance between the estimate and the true phase."""
-    return mod1_distance(estimate_phase(result, phi.width), phi)
+    return estimate_distance(result, phi) / (1 << phi.width)

@@ -61,8 +61,8 @@ from typing import Any, NamedTuple, Sequence
 
 from numpy.random import Generator
 
-from .bounds import DEFAULT_EPS, BudgetMode, finite_ceil, kitaev_coefficient
-from .estimators import EstimationResult, estimate_phase
+from .bounds import DEFAULT_EPS, BudgetMode, kitaev_coefficient, log_ratio
+from .estimators import EstimationResult, estimate_distance
 from .phase import (
     DEFAULT_WIDTH,
     BitString,
@@ -124,7 +124,7 @@ def trials_per_basis(cfg: KitaevConfig) -> int:
     """
     if cfg.reps is not None:
         return cfg.reps
-    return finite_ceil(kitaev_coefficient(cfg.mode) / 2.0 * math.log(4.0 * cfg.n / cfg.eps))
+    return math.ceil(kitaev_coefficient(cfg.mode) / 2.0 * log_ratio(4.0 * cfg.n, cfg.eps))
 
 
 def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:
@@ -251,13 +251,9 @@ def kitaev_estimate(
 def within_guarantee(result: EstimationResult, phi: Phase, n: int) -> bool:
     """Whether the stitched estimate meets the strict 2**-(n+2) error guarantee.
 
-    The estimate is ``result.estimate`` when its width is ``phi.width``
-    (``kitaev_estimate`` builds it from the stitched bits), else the
-    bits at ``phi.width``.  The n + 2 bits must fit ``phi.width``.
+    The error is ``estimators.estimate_distance``; the n + 2 bits must
+    fit ``phi.width``.
     """
     if not 1 <= n <= phi.width - 2:
         raise ValueError("n must lie in 1..width-2")
-    est = estimate_phase(result, phi.width)
-    span = 1 << phi.width
-    d = (est.raw - phi.raw) % span
-    return min(d, span - d) < (1 << (phi.width - (n + 2)))
+    return estimate_distance(result, phi) < 1 << (phi.width - (n + 2))

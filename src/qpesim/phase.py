@@ -153,12 +153,7 @@ def phase_from_bits(bits: BitString | Iterable[int], width: int = DEFAULT_WIDTH)
     seq = tuple(bits)
     if len(seq) > width:
         raise ValueError("bit string longer than phase width")
-    raw = 0
-    for b in seq:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        raw = (raw << 1) | b
-    return Phase(raw << (width - len(seq)), width)
+    return Phase(BitString(seq).to_int() << (width - len(seq)), width)
 
 
 def phase_from_fraction(value: Fraction, width: int = DEFAULT_WIDTH) -> Phase:

@@ -22,17 +22,17 @@ A ``Generator.random(k)`` call consumes the stream exactly as k scalar
 its draws into calls changes neither its outcomes nor the generator's
 state after it.  :class:`RunDraws` relies on that: it draws rows of
 uniforms of one stream (one run's, or many consecutive runs') in blocks,
-one generator call for up to ``_CHUNK`` uniforms, and :func:`run_trials`
-counts each row from the block in one call.
+one generator call for up to ``_CHUNK`` = 2**13 uniforms into one numpy
+block, and :func:`run_trials` counts each row from the block in one call.
 
-Two more clauses make that exact.  Sorted rows: a block's rows are
-sorted in place before they are counted, and a count of the uniforms
-below ``p`` does not depend on their order within the row, so the
-bisection count on a sorted row is the compare-and-count on the drawn
-one.  Rewind: a run that stops before its last row puts the generator
-back over the uniforms it drew and did not read
-(:meth:`RunDraws.rewind`), so the generator's state after any run is
-the state per-row draws would have left.
+Two more clauses make that exact.  Sorted rows: a block's rows of more
+than one uniform are sorted in place before they are counted, and a
+count of the uniforms below ``p`` does not depend on their order within
+the row, so the bisection count on a sorted row is the compare-and-count
+on the drawn one.  Rewind: a run that stops before its last row puts the
+generator back over the uniforms it drew and did not read
+(:meth:`RunDraws.rewind`), so the generator's state after any run is the
+state per-row draws would have left.
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
 # Largest uniform batch one run_trials request or RunDraws block draws
-# (512 KiB of doubles).
-_CHUNK = 1 << 16
-# Most one-uniform rows a RunDraws block holds, as a Python list of about
-# 32 bytes a row: 2**10 rows raised validate's peak RSS by about 0.1 MB.
-_LIST_ROWS = 1 << 8
+# (64 KiB of doubles): a default 16-bit Kitaev run fits one block, and
+# 2**16 raised validate's peak RSS by about 0.5 MB.
+_CHUNK = 1 << 13
 # Longest row a RunDraws block holds: up to about here, sorting a row and
 # bisecting it costs no more than a numpy compare-and-count of it (under
 # timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Longer rows are read
@@ -241,15 +239,14 @@ class RunDraws:
     Each row is read by one :func:`run_trials` request of exactly
     ``size`` trials, in order.  A request finding no unread row draws the
     next ``min(rows left, _CHUNK // size)`` rows with one ``rng.random``
-    call and sorts each row in place; :func:`run_trials` then counts the
-    uniforms of its row below ``p`` by bisection.  Sorting moves the
-    uniforms within their row but changes none, so the count is the one
-    ``count_nonzero(rng.random(size) < p)`` gives.  Rows of one uniform
-    are not sorted and are read from a list with one compare each, which
-    costs less than a bisection call; a block holds at most
-    ``min(_LIST_ROWS, _CHUNK)`` of them.  Rows longer than ``_ROW_MAX`` are
-    not blocked at all: each request reads its row from ``rng`` through
-    the chunked path of :func:`run_trials`.
+    call into one numpy block, read through a ``memoryview``, and sorts
+    each row of more than one uniform in place; :func:`run_trials` then
+    counts the uniforms of its row below ``p`` by bisection, or, for a
+    row of one uniform, with one compare.  Sorting moves the uniforms
+    within their row but changes none, so the count is the one
+    ``count_nonzero(rng.random(size) < p)`` gives.  Rows longer than
+    ``_ROW_MAX`` are not blocked at all: each request reads its row from
+    ``rng`` through the chunked path of :func:`run_trials`.
 
     A request of another size, or past the last row, raises before
     anything is drawn, as does :meth:`require` for a run that would make
@@ -269,16 +266,14 @@ class RunDraws:
         self._pos = self._end = 0
 
     def _draw(self) -> None:
-        """Draw the next block of rows and sort each row."""
+        """Draw the next block of rows and sort each row of more than one uniform."""
         size = self._size
-        k = min(self._rows, _CHUNK // size if size > 1 else min(_LIST_ROWS, _CHUNK))
+        k = min(self._rows, _CHUNK // size)
         block = self._rng.random(k * size)
         self._rows -= k
-        if size == 1:
-            self._view = block.tolist()
-        else:
+        if size > 1:
             block.reshape(k, size).sort(axis=1)
-            self._view = memoryview(block)
+        self._view = memoryview(block)
         self._end = k * size
 
     def require(self, rows: int, size: int) -> None:
@@ -315,10 +310,10 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     ``rng.random() < p`` draws, so batched and one-at-a-time sampling are
     interchangeable.  It draws at most ``_CHUNK`` uniforms a call, so
     memory stays bounded for any m.  ``rng`` may be a
-    :class:`RunDraws`, whose next row, of exactly m uniforms, is counted:
-    by bisection on its sorted block, with one compare for a row of one
-    uniform, or through the chunked path for a row longer than
-    ``_ROW_MAX``.
+    :class:`RunDraws`, whose next row, of exactly m uniforms, is counted
+    from its block: by bisection on the sorted row, with one compare for
+    a row of one uniform, or through the chunked path for a row longer
+    than ``_ROW_MAX``.
     """
     if m < 1:
         raise ValueError("trial count must be positive")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpesim.bounds import (
     BudgetMode,
@@ -25,6 +28,7 @@ from qpesim.bounds import (
     trial_ratio,
     trials_table,
 )
+from qpesim.kitaev import KitaevConfig, trials_per_basis
 
 PUBLISHED_TABLE = {
     0.50000: (98, 3),
@@ -144,11 +148,37 @@ class TestConstPrecisionBudget:
         assert const_precision_success_per_test(2000) == 1.0
         assert const_precision_trials(0.05, 2000) == math.ceil(2.0 * math.log(20.0))
 
-    def test_overflowing_budget_rejected(self):
-        with pytest.raises(ValueError, match="too small"):
-            const_precision_trials(1e-320, 3)
-        with pytest.raises(ValueError, match="too small"):
-            kitaev_trials_per_bit(1e-320)
+    def test_overflowing_quotient_still_counts(self):
+        # 1/eps and 4/eps overflow to inf; the counts are ceil(4 ln(1/eps)) and
+        # ceil(47 ln(4/eps)) of the exact eps, 2947.31 and 34696.04
+        assert const_precision_trials(1e-320, 3) == 2948
+        assert kitaev_trials_per_bit(1e-320) == 34697
+        assert const_precision_trials(5e-324, 3) == 2978
+        assert kitaev_trials_per_bit(5e-324) == 35054
+
+    @given(
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1e-300),
+            st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        ),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(BudgetMode),
+    )
+    def test_every_budget_in_the_unit_interval_counts(self, eps, n, mode):
+        # each count is a positive int within one of coeff * ln(c / eps), taken
+        # exactly, and it is ceil(coeff * log(c / eps)) wherever c / eps is finite
+        coefficient = kitaev_coefficient(mode)
+        counts = [
+            (const_precision_trials(eps, 3), 4.0, 1.0),
+            (kitaev_trials_per_bit(eps, mode), coefficient, 4.0),
+            (trials_per_basis(KitaevConfig(n=n, eps=eps, mode=mode)), coefficient / 2.0, 4.0 * n),
+        ]
+        for count, coeff, c in counts:
+            assert count.__class__ is int and count >= 1
+            exact = float(Decimal(coeff) * (Decimal(c) / Decimal(eps)).ln())
+            assert exact <= count * (1 + 1e-12) and count - 1 <= exact * (1 + 1e-12)
+            if c / eps != math.inf:
+                assert count == math.ceil(coeff * math.log(c / eps))
 
     def test_per_bit_budget(self):
         assert per_bit_budget(0.05, 4) == 0.0125

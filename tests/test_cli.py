@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -190,21 +191,31 @@ class TestExtremeBudgets:
         "args",
         [
             ("estimate", "--algo", "const", "--bits", "4", "--degree", "2000", "--phase", "0.5"),
-            ("estimate", "--algo", "kitaev", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
-            ("estimate", "--algo", "const", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"),
-            ("compare", "--eps-list", "1e-320"),
+            ("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5"),
             ("estimate", "--algo", "qft", "--bits", "3", "--phase", "1@20000000000"),
         ],
-        ids=[
-            "const-degree-2000", "kitaev-eps-1e-320", "const-eps-1e-320", "compare-eps-1e-320",
-            "phase-width-2e10",
-        ],
+        ids=["const-degree-2000", "const-eps-over-bits-underflows", "phase-width-2e10"],
     )
     def test_error_line_not_traceback(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 1
         assert "qpesim: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_budgets_whose_quotient_overflows_are_counted(self, capsys):
+        # c / eps overflows to inf below about c / 1.8e308; the counts are those of
+        # ln(c / eps) taken exactly (kitaev m1 = ceil(23.5 ln(16 / 1e-320)) = 17381)
+        assert main(["compare", "--eps-list", "1e-307,1e-310,1e-320"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[1:3] for row in rows] == [["33290", "2828"], ["33614", "2856"], ["34697", "2948"]]
+        for args, tests in [
+            (("--algo", "kitaev", "--bits", "4", "--eps", "1e-320", "--phase", "0.5"), 2 * 17381 * 4),
+            (("--algo", "const", "--bits", "3", "--eps", "1e-320", "--phase", "0.3"), 2953 * 5),
+        ]:
+            assert main(["estimate", *args]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert f"total_tests {tests}\n" in captured.out
 
     @pytest.mark.parametrize(
         "args",
@@ -857,5 +868,32 @@ class TestNoTraceback:
         if code == 1:
             # a usage or value error writes its message, and only that, to stderr
             assert out.getvalue() == "" and err.getvalue() != "", argv
-        if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "json":
-            json.loads(out.getvalue())
+        if code == 0:
+            _check_output(build_parser().parse_args(argv), out.getvalue())
+
+
+# The keys of ``estimate``'s table output, one a line.
+_ESTIMATE_KEYS = {"algo", "phase", "bits", "estimate", "error", "success", "total_tests", "warning"}
+
+
+def _check_output(args, output: str) -> None:
+    """Check that a command's output parses in its format."""
+    fmt = getattr(args, "format", None)
+    lines = output.splitlines()
+    if fmt == "json":
+        json.loads(output)
+    elif fmt == "csv":
+        # only a trailing summary line, behind a "# ", is not a row
+        if lines[-1].startswith("# "):
+            lines.pop()
+        header, *rows = csv.reader(lines)
+        assert all(len(row) == len(header) for row in rows), output
+    elif args.command == "estimate":
+        for line in lines:
+            key, value = line.split(maxsplit=1)
+            assert key in _ESTIMATE_KEYS and line.startswith(f"{key:<12}"), output
+    elif fmt == "table":
+        if args.command == "montecarlo":
+            assert lines.pop().startswith("summary: "), output
+        header, *rows = (line.split() for line in lines)
+        assert all(len(row) == len(header) for row in rows), output

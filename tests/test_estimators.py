@@ -215,9 +215,10 @@ class TestConfigBuilders:
                 constant_precision_config(n, 3, eps, reps=reps)
 
     def test_override_still_checks_budget(self):
-        # the budget's count is computed even when reps overrides it
+        # the budget's count is computed even when reps overrides it: eps / 4
+        # underflows to 0
         with pytest.raises(ValueError, match="too small"):
-            constant_precision_config(4, 3, 1e-320, reps=3)
+            constant_precision_config(4, 3, 5e-324, reps=3)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -457,7 +458,7 @@ class TestFixedPhaseReplay:
 
 
 class TestRunDrawsReplay:
-    """Runs read through one ``RunDraws`` row source: one generator call per 2**16 trials."""
+    """Runs read through one ``RunDraws`` row source: one generator call per 2**13 trials."""
 
     @pytest.mark.parametrize(
         "n,reps,guard",
@@ -525,9 +526,10 @@ class TestSharedSource:
     @pytest.mark.parametrize("chunk", [None, 37], ids=["real-blocks", "blocks-of-37"])
     @pytest.mark.parametrize("cfg", _SHARED_CASES, ids=_SHARED_IDS)
     def test_runs_on_one_source_match_runs_on_the_generator(self, cfg, chunk, monkeypatch):
-        # 200 runs of 6 rows cross a block boundary inside a run at either block
-        # size (256 or 37 one-uniform rows, 13 107 or 7 rows of 5); the phases
-        # take turns, so the stage memo's key changes between runs too
+        # 200 runs of 6 rows: blocks of 37 uniforms (37 one-uniform rows, 7 rows
+        # of 5) put block boundaries inside runs, and one real block (8 192
+        # one-uniform rows, 1 638 rows of 5) holds all 1 200; the phases take
+        # turns, so the stage memo's key changes between runs too
         if chunk is not None:
             monkeypatch.setattr(sampling, "_CHUNK", chunk)
         k = 200

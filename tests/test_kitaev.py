@@ -275,9 +275,9 @@ class TestKitaevEstimate:
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, mode=BudgetMode.EXACT)) == 151
         assert trials_per_basis(KitaevConfig(n=8, eps=0.05, reps=9)) == 9
 
-    def test_overflowing_budget_rejected(self):
-        with pytest.raises(ValueError, match="too small"):
-            trials_per_basis(KitaevConfig(n=8, eps=1e-320))
+    def test_overflowing_quotient_still_counts(self):
+        # 4n/eps overflows to inf; m1 is ceil(23.5 ln(32/eps)) of the exact eps, 17396.88
+        assert trials_per_basis(KitaevConfig(n=8, eps=1e-320)) == 17397
 
     @pytest.mark.parametrize("phase", ["0.703125", "0.3", "0.9999"])
     def test_run_is_engine_plus_predicate(self, phase):

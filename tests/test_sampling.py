@@ -14,7 +14,7 @@ from scipy import stats
 
 from qpesim import sampling
 from qpesim.sampling import (
-    _CHUNK, _LIST_ROWS, _ROW_MAX, RngSeed, RunDraws, _RunSeed, derive_run_seed, make_generator,
+    _CHUNK, _ROW_MAX, RngSeed, RunDraws, _RunSeed, derive_run_seed, make_generator,
     run_trials,
 )
 from reference import (
@@ -169,7 +169,7 @@ class TestRunDraws:
     @pytest.mark.parametrize(
         "size,rows,calls",
         [
-            (1, 2 * _LIST_ROWS + 5, [_LIST_ROWS] * 2 + [5]),
+            (1, 2 * _CHUNK + 5, [_CHUNK] * 2 + [5]),
             (25, 2 * (_CHUNK // 25) + 3, [_CHUNK // 25 * 25] * 2 + [75]),
             (_ROW_MAX, 2 * _BLOCK_ROWS + 4, [_BLOCK_ROWS * _ROW_MAX] * 2 + [4 * _ROW_MAX]),
             (_ROW_MAX + 2, 3, [_ROW_MAX + 2] * 3),
@@ -182,24 +182,24 @@ class TestRunDraws:
         source = RunDraws(logged, rows, size)
         for _ in range(rows):
             run_trials(0.5, size, source)
-            assert len(source._view) <= (_LIST_ROWS if size == 1 else _CHUNK)
+            assert len(source._view) <= _CHUNK
         assert logged.sizes == calls
 
     @given(
-        st.integers(min_value=1, max_value=3 * _LIST_ROWS),
-        st.integers(min_value=1, max_value=2 * _LIST_ROWS),
+        st.integers(min_value=1, max_value=768),
+        st.integers(min_value=1, max_value=512),
     )
-    def test_one_uniform_blocks_stay_within_the_list_bound(self, rows, chunk):
-        # a list block holds at most _LIST_ROWS rows, and never more than _CHUNK
+    def test_one_uniform_blocks_stay_within_a_chunk(self, rows, chunk):
+        # a block of one-uniform rows holds at most _CHUNK of them
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_CHUNK", chunk)
             logged = LoggedGenerator(gen(9))
             source = RunDraws(logged, rows, 1)
             for _ in range(rows):
                 run_trials(0.5, 1, source)
-                assert len(source._view) <= min(_LIST_ROWS, chunk)
+                assert len(source._view) <= chunk
         assert sum(logged.sizes) == rows
-        assert all(size <= min(_LIST_ROWS, chunk) for size in logged.sizes)
+        assert all(size <= chunk for size in logged.sizes)
 
     @pytest.mark.parametrize("size", [1, 25, _ROW_MAX + 2])
     def test_wrong_size_or_past_the_last_row_draws_nothing(self, size):
