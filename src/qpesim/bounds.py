@@ -1,8 +1,12 @@
 """Closed-form trial budgets and success-probability bounds.
 
-Everything here is analytic: Chernoff tail inversions for the two
-estimator families, the known lower bounds for full and approximate
-QFT phase estimation, and the side-by-side per-bit trial table.
+Everything here is analytic: the known lower bounds for full and
+approximate QFT phase estimation, the side-by-side per-bit trial table,
+and the trial budgets of both estimator families.  Every budget is one
+Chernoff inversion, ``chernoff_trials(coeff, c, eps)``: the smallest m
+with c*exp(-m/coeff) <= eps.  The two families differ only in the
+coefficient (``kitaev_coefficient``, ``const_precision_coefficient``),
+and a union bound over n bits is the factor n in c.
 """
 
 from __future__ import annotations
@@ -65,21 +69,17 @@ def kitaev_accuracy_threshold() -> float:
     return (2.0 - math.sqrt(2.0)) / 4.0
 
 
-_BUDGET_TOO_SMALL = "failure budget too small: the trial count overflows"
+def chernoff_trials(coeff: float, c: float, eps: float) -> int:
+    """Smallest m with c*exp(-m/coeff) <= eps: ceil(coeff * log(c / eps)).
 
-
-def log_ratio(c: float, eps: float) -> float:
-    """log(c / eps), as log(c) - log(eps) where the quotient overflows to inf."""
+    Every trial budget is this inversion; a union bound over n bits is the
+    factor n in c.  The log is log(c) - log(eps) where the quotient c / eps
+    overflows to inf, so every eps in (0, 1) has a count.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("failure budget must lie in (0, 1)")
     ratio = c / eps
-    return math.log(ratio) if ratio != math.inf else math.log(c) - math.log(eps)
-
-
-def per_bit_budget(eps: float, n: int) -> float:
-    """The failure budget eps/n of each of n bits; a share that underflows to 0 is rejected."""
-    budget = eps / n
-    if budget == 0.0 and eps > 0.0:
-        raise ValueError(_BUDGET_TOO_SMALL)
-    return budget
+    return math.ceil(coeff * (math.log(ratio) if ratio != math.inf else math.log(c) - math.log(eps)))
 
 
 def kitaev_coefficient(mode: BudgetMode = BudgetMode.ROUNDED47) -> float:
@@ -95,9 +95,7 @@ def kitaev_trials_per_bit(eps: float, mode: BudgetMode = BudgetMode.ROUNDED47) -
 
     The table's rounding: the whole per-bit budget rounded up, 337 at eps = 0.05/16.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("failure budget must lie in (0, 1)")
-    return math.ceil(kitaev_coefficient(mode) * log_ratio(4.0, eps))
+    return chernoff_trials(kitaev_coefficient(mode), 4.0, eps)
 
 
 def kitaev_total_budget(
@@ -105,13 +103,13 @@ def kitaev_total_budget(
 ) -> tuple[int, int]:
     """(per-bit, total) Hadamard tests for n bits at overall failure budget eps.
 
-    The per-bit budget absorbs the union bound over the n stages, so the
-    per-stage budget is evaluated at eps/n; the circuit runs all
-    per_bit * n tests in sequence.
+    The union bound over the n stages is the factor n in the tail's
+    constant, 4n/eps, so each stage is held to eps/n without eps/n being
+    rounded first; the circuit runs all per_bit * n tests in sequence.
     """
     if n < 1:
         raise ValueError("bit count must be positive")
-    per_bit = kitaev_trials_per_bit(eps_overall / n, mode)
+    per_bit = chernoff_trials(kitaev_coefficient(mode), 4.0 * n, eps_overall)
     return per_bit, per_bit * n
 
 
@@ -122,24 +120,28 @@ def const_precision_success_per_test(degree: int) -> float:
     return math.cos(math.ldexp(math.pi, -degree)) ** 2
 
 
+def const_precision_coefficient(degree: int) -> float:
+    """Majority votes per bit per unit of log(1/eps): 1/(2*(p - 1/2)^2), exactly 4 at degree 3.
+
+    p is the per-test success floor for the degree; below degree 3 it is
+    1/2 and there is no majority margin.
+    """
+    if degree < 3:
+        raise ValueError("degree too small for majority margin")
+    if degree == 3:
+        return 4.0
+    margin = const_precision_success_per_test(degree) - 0.5
+    return 1.0 / (2.0 * margin * margin)
+
+
 def const_precision_trials(eps: float, degree: int) -> int:
     """Majority-vote trials per bit for the constant-precision estimator.
 
     Inverts the one-sided Chernoff bound exp(-2*m*(p - 1/2)^2) <= eps at
-    the per-test success floor p for the given degree.  For degree 3 the
-    coefficient 1/(2*(p - 1/2)^2) is exactly 4.  The raw ceiling is
-    returned; round up to odd before handing it to a majority vote.
+    the per-test success floor p for the given degree.  The raw ceiling
+    is returned; round up to odd before handing it to a majority vote.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("failure budget must lie in (0, 1)")
-    if degree < 3:
-        raise ValueError("zero majority margin")
-    if degree == 3:
-        coeff = 4.0
-    else:
-        margin = const_precision_success_per_test(degree) - 0.5
-        coeff = 1.0 / (2.0 * margin * margin)
-    return math.ceil(coeff * log_ratio(1.0, eps))
+    return chernoff_trials(const_precision_coefficient(degree), 1.0, eps)
 
 
 def round_up_to_odd(m: int) -> int:
@@ -214,4 +216,4 @@ def trials_table(
 
 def trial_ratio() -> float:
     """Asymptotic per-bit trial ratio 47/4 between the two estimators."""
-    return 47.0 / 4.0
+    return kitaev_coefficient() / const_precision_coefficient(DEFAULT_DEGREE)

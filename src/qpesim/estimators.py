@@ -47,8 +47,8 @@ from numpy.random import Generator
 from .bounds import (
     DEFAULT_DEGREE,
     DEFAULT_EPS,
-    const_precision_trials,
-    per_bit_budget,
+    chernoff_trials,
+    const_precision_coefficient,
     round_up_to_odd,
 )
 from .phase import BitString, Phase, check_bit_budget, phase_from_bits
@@ -86,10 +86,10 @@ class EstimatorConfig:
             raise ValueError("guard count must be nonnegative")
         if self.reps < 1 or self.reps % 2 == 0:
             raise ValueError("repetitions must be a positive odd integer")
-        if self.reps > 1 and self.window < 2:
-            # window w has degree w+1; degree 2 leaves a cos^2(pi/4) = 1/2
-            # per-test floor and no majority margin at all.
-            raise ValueError("degree too small for majority margin")
+        if self.reps > 1:
+            # window w has degree w+1; a majority needs the margin whose floor
+            # the const coefficient checks
+            const_precision_coefficient(self.window + 1)
 
     def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
         """One engine run and its :func:`is_success`, both looked up by name when called."""
@@ -330,17 +330,15 @@ def constant_precision_config(
 ) -> EstimatorConfig:
     """Constant-precision QPE: fixed-degree corrections, majority-voted repetitions.
 
-    The per-bit failure budget is eps/n and the repetition count comes
-    from the majority Chernoff inversion (bumped to odd).  Two guard
-    stages keep the reported bits' residuals inside the degree window;
-    ``reps``/``guard`` exist as explicit overrides.  The budget is
-    checked, and its count computed, even when ``reps`` overrides it.
+    The per-bit failure budget is eps/n, held as the factor n in the
+    constant of the majority Chernoff inversion, so a share that is
+    subnormal or underflows is still counted exactly; the count is bumped
+    to odd.  Two guard stages keep the reported bits' residuals inside the
+    degree window; ``reps``/``guard`` exist as explicit overrides.  The
+    degree and the budget are checked, in that order, and the count
+    computed, even when ``reps`` overrides it.
     """
-    if degree < 3:
-        raise ValueError("degree too small for majority margin")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("failure budget must lie in (0, 1)")
-    trials = round_up_to_odd(const_precision_trials(per_bit_budget(eps, n), degree))
+    trials = round_up_to_odd(chernoff_trials(const_precision_coefficient(degree), n, eps))
     reps = trials if reps is None else reps
     guard = 2 if guard is None else guard
     return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)

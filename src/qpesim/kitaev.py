@@ -61,7 +61,7 @@ from typing import Any, NamedTuple, Sequence
 
 from numpy.random import Generator
 
-from .bounds import DEFAULT_EPS, BudgetMode, kitaev_coefficient, log_ratio
+from .bounds import DEFAULT_EPS, BudgetMode, chernoff_trials, kitaev_coefficient
 from .estimators import EstimationResult, estimate_distance
 from .phase import (
     DEFAULT_WIDTH,
@@ -117,14 +117,16 @@ class KitaevConfig:
 
 
 def trials_per_basis(cfg: KitaevConfig) -> int:
-    """Per-basis trial count m1: half the per-bit budget at per-stage budget eps/n.
+    """Per-basis trial count m1: half the per-bit budget, each stage held to eps/n.
 
-    The engine's rounding: each basis rounded up, 2*169 = 338 tests per bit at
-    n = 16, eps = 0.05, where the table's ``kitaev_trials_per_bit`` gives 337.
+    The union bound is the factor n in the constant 4n of
+    ``bounds.chernoff_trials``.  The engine's rounding: each basis rounded
+    up, 2*169 = 338 tests per bit at n = 16, eps = 0.05, where the table's
+    ``kitaev_trials_per_bit`` gives 337.
     """
     if cfg.reps is not None:
         return cfg.reps
-    return math.ceil(kitaev_coefficient(cfg.mode) / 2.0 * log_ratio(4.0 * cfg.n, cfg.eps))
+    return chernoff_trials(kitaev_coefficient(cfg.mode) / 2.0, 4.0 * cfg.n, cfg.eps)
 
 
 def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:

@@ -16,18 +16,20 @@ from qpesim.bounds import (
     aqft_lower_bound_cheung,
     aqft_lower_bound_window,
     chernoff_tail,
+    chernoff_trials,
+    const_precision_coefficient,
     const_precision_success_per_test,
     const_precision_trials,
     kitaev_accuracy_threshold,
     kitaev_coefficient,
     kitaev_total_budget,
     kitaev_trials_per_bit,
-    per_bit_budget,
     qft_lower_bound,
     round_up_to_odd,
     trial_ratio,
     trials_table,
 )
+from qpesim.estimators import constant_precision_config
 from qpesim.kitaev import KitaevConfig, trials_per_basis
 
 PUBLISHED_TABLE = {
@@ -124,8 +126,11 @@ class TestConstPrecisionBudget:
         assert round_up_to_odd(24) == 25
 
     def test_degree_floor(self):
-        with pytest.raises(ValueError, match="zero majority margin"):
+        with pytest.raises(ValueError, match="degree too small for majority margin"):
             const_precision_trials(0.1, 2)
+        # the degree is named before the budget, as the const config names it
+        with pytest.raises(ValueError, match="degree too small for majority margin"):
+            const_precision_trials(1.5, 2)
 
     def test_nonincreasing_in_degree(self):
         for eps in (0.3, 0.05, 1e-3):
@@ -180,12 +185,76 @@ class TestConstPrecisionBudget:
             if c / eps != math.inf:
                 assert count == math.ceil(coeff * math.log(c / eps))
 
-    def test_per_bit_budget(self):
-        assert per_bit_budget(0.05, 4) == 0.0125
-        # an out-of-range eps is left to the budget functions to name
-        assert per_bit_budget(0.0, 4) == 0.0
-        with pytest.raises(ValueError, match="too small"):
-            per_bit_budget(5e-324, 4)
+    def test_chernoff_trials(self):
+        # ceil(coeff * ln(c / eps)); the union bound over n bits is the factor n in c
+        assert chernoff_trials(4.0, 1.0, 0.05) == math.ceil(4.0 * math.log(20.0)) == 12
+        assert chernoff_trials(4.0, 4, 0.05) == chernoff_trials(4.0, 1.0, 0.0125) == 18
+        assert chernoff_trials(47.0, 4.0, 5e-324) == kitaev_trials_per_bit(5e-324)
+        for eps in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
+                chernoff_trials(4.0, 1.0, eps)
+
+    def test_coefficient(self):
+        assert const_precision_coefficient(3) == 4.0
+        assert trial_ratio() == kitaev_coefficient() / const_precision_coefficient(3) == 47.0 / 4.0
+        with pytest.raises(ValueError, match="degree too small for majority margin"):
+            const_precision_coefficient(2)
+
+
+def _inversion(coeff: float, c: float, eps: float) -> int:
+    """ceil(coeff * ln(c / eps)), the log taken as ln(c) - ln(eps) where c / eps overflows."""
+    ratio = c / eps
+    return math.ceil(coeff * (math.log(ratio) if ratio != math.inf else math.log(c) - math.log(eps)))
+
+
+def _budgets(eps: float, n: int, mode: BudgetMode) -> list[tuple[int, int]]:
+    """(count, the inversion it must equal at its caller's coefficient and constant) per budget."""
+    kc = kitaev_coefficient(mode)
+    return [
+        (kitaev_total_budget(n, eps, mode)[0], _inversion(kc, 4.0 * n, eps)),
+        (constant_precision_config(n, 3, eps).reps, round_up_to_odd(_inversion(4.0, n, eps))),
+        (trials_per_basis(KitaevConfig(n=n, eps=eps, mode=mode)), _inversion(kc / 2.0, 4.0 * n, eps)),
+        (const_precision_trials(eps, 3), _inversion(4.0, 1.0, eps)),
+    ]
+
+
+class TestOneInversion:
+    """Every trial budget is ``chernoff_trials`` at its caller's coefficient and constant."""
+
+    # the third arm draws subnormals of few significant bits, where eps / n rounds most
+    _eps = st.one_of(
+        st.floats(min_value=5e-324, max_value=1e-300),
+        st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        st.integers(min_value=1, max_value=1 << 10).map(lambda k: k * 5e-324),
+    )
+
+    @given(_eps, _eps, st.integers(min_value=1, max_value=64), st.sampled_from(BudgetMode))
+    def test_every_budget_is_one_inversion(self, eps_a, eps_b, n, mode):
+        low, high = sorted((eps_a, eps_b))
+        at_low, at_high = _budgets(low, n, mode), _budgets(high, n, mode)
+        for (count, expected), (count_high, _) in zip(at_low, at_high):
+            assert count.__class__ is int and count >= 1
+            assert count == expected
+            # a larger budget never asks for more trials
+            assert count_high <= count
+
+    def test_underflowing_share_is_counted(self):
+        # 5e-324 / 4 underflows to 0; the share is held as the factor 4 in c
+        assert kitaev_total_budget(4, 5e-324) == (35119, 140476)
+        assert constant_precision_config(4, 3, 5e-324).reps == 2985
+
+    def test_subnormal_share_gets_the_exact_count(self):
+        # 7e-323 / 27 rounds to the least subnormal, about 1.9 times the exact
+        # share; the count is ceil(47 ln(4 * 27 / 7e-323)) = 35085, where the
+        # rounded share would give 35054
+        assert 7e-323 / 27 == 5e-324
+        assert kitaev_total_budget(27, 7e-323) == (35085, 35085 * 27)
+
+    def test_total_budget_checks_the_overall_eps(self):
+        # 1.5 / 2 lies in (0, 1), but the overall failure budget does not
+        with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
+            kitaev_total_budget(2, 1.5)
+
 
 class TestLowerBounds:
     def test_full_qft_value(self):

@@ -191,10 +191,10 @@ class TestExtremeBudgets:
         "args",
         [
             ("estimate", "--algo", "const", "--bits", "4", "--degree", "2000", "--phase", "0.5"),
-            ("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5"),
+            ("estimate", "--algo", "const", "--bits", "4", "--eps", "1e-400", "--phase", "0.5"),
             ("estimate", "--algo", "qft", "--bits", "3", "--phase", "1@20000000000"),
         ],
-        ids=["const-degree-2000", "const-eps-over-bits-underflows", "phase-width-2e10"],
+        ids=["const-degree-2000", "const-eps-underflows-to-0", "phase-width-2e10"],
     )
     def test_error_line_not_traceback(self, args):
         proc = run_cli(*args)
@@ -263,12 +263,14 @@ class TestExtremeBudgets:
         assert captured.out == ""
         assert captured.err == f"qpesim: error: {message}\n"
 
-    def test_underflowing_per_bit_budget_named(self):
-        # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0
-        proc = run_cli("estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5")
-        assert proc.returncode == 1
-        assert "failure budget too small: the trial count overflows" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_underflowing_per_bit_budget_counted(self, capsys):
+        # 5e-324 lies in (0, 1), but its share eps/4 of one bit underflows to 0;
+        # the share is the factor 4 in the tail's constant, 4 ln(4 / 5e-324) =
+        # 2983.3, so 2985 votes (odd) on each of 4 + 2 guard stages
+        assert main(["estimate", "--algo", "const", "--bits", "4", "--eps", "5e-324", "--phase", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "total_tests 17910\n" in captured.out
 
 
 class TestDefaultConfigs:

@@ -175,9 +175,9 @@ class TestWrappers:
         with pytest.raises(ValueError, match="degree too small"):
             constant_precision_config(4, 2, 0.05)
 
-    def test_constant_precision_rejects_underflowing_per_bit_budget(self):
-        with pytest.raises(ValueError, match="too small"):
-            constant_precision_config(4, 3, 5e-324)
+    def test_constant_precision_counts_underflowing_per_bit_budget(self):
+        # 5e-324 / 4 underflows to 0; the count is ceil(4 ln(4 / 5e-324)) = 2985, odd
+        assert constant_precision_config(4, 3, 5e-324).reps == 2985
 
     def test_exact_phase_still_samples(self):
         # degenerate probabilities make the outcome certain, not skipped
@@ -216,9 +216,9 @@ class TestConfigBuilders:
 
     def test_override_still_checks_budget(self):
         # the budget's count is computed even when reps overrides it: eps / 4
-        # underflows to 0
-        with pytest.raises(ValueError, match="too small"):
-            constant_precision_config(4, 3, 5e-324, reps=3)
+        # lies in (0, 1), but eps does not
+        with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
+            constant_precision_config(4, 3, 1.5, reps=3)
 
     @pytest.mark.parametrize(
         "cfg",
