@@ -71,6 +71,7 @@ from .sampling import (
     RngSeed,
     derive_run_seed,
     make_generator,
+    run_generators,
     run_trials,
 )
 

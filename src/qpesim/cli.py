@@ -44,7 +44,7 @@ from .estimators import (
 from .kitaev import KitaevConfig
 from .phase import DEFAULT_WIDTH, Phase, parse_phase
 from .refsim import MAX_SAMPLED_BITS, self_checks
-from .sampling import RngSeed, derive_run_seed, make_generator
+from .sampling import RngSeed, make_generator, run_generators
 
 _FORMATS = ("table", "json", "csv")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -166,10 +166,9 @@ def _run_setup(
 
 
 def _single_run(
-    phi: Phase | None, cfg: KitaevConfig | EstimatorConfig, seed: RngSeed
+    phi: Phase | None, cfg: KitaevConfig | EstimatorConfig, rng: np.random.Generator
 ) -> tuple[Phase, EstimationResult, bool]:
-    """One estimator invocation on its own stream; returns (phase, result, success)."""
-    rng = make_generator(seed)
+    """One estimator invocation on its own generator; returns (phase, result, success)."""
     if phi is None:
         phi = _random_phase(rng)
     return (phi, *cfg.run(phi, rng))
@@ -223,7 +222,7 @@ def _emit(
 
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    phi, result, ok = _single_run(*_run_setup(parser, args), RngSeed(args.seed))
+    phi, result, ok = _single_run(*_run_setup(parser, args), make_generator(RngSeed(args.seed)))
     fields = [
         ("algo", args.algo),
         ("phase", _fmt(phi.value)),
@@ -256,10 +255,9 @@ def _wilson_interval(successes: int, runs: int) -> tuple[float, float]:
 
 def cmd_montecarlo(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fixed_phi, cfg = _run_setup(parser, args)
-    master = RngSeed(args.seed)
     rows = []
-    for index in range(args.runs):
-        phi, result, ok = _single_run(fixed_phi, cfg, derive_run_seed(master, index))
+    for index, rng in enumerate(run_generators(RngSeed(args.seed), args.runs)):
+        phi, result, ok = _single_run(fixed_phi, cfg, rng)
         rows.append((index, _fmt(phi.value), int(ok), result.total_tests))
     successes = sum(row[2] for row in rows)
     rate = successes / args.runs

@@ -335,9 +335,11 @@ def constant_precision_config(
     subnormal or underflows is still counted exactly; the count is bumped
     to odd.  Two guard stages keep the reported bits' residuals inside the
     degree window; ``reps``/``guard`` exist as explicit overrides.  The
-    degree and the budget are checked, in that order, and the count
-    computed, even when ``reps`` overrides it.
+    bit count, the degree and the budget are checked, in that order, and
+    the count computed, even when ``reps`` overrides it.
     """
+    if n < 1:
+        raise ValueError("bit count must be positive")
     trials = round_up_to_odd(chernoff_trials(const_precision_coefficient(degree), n, eps))
     reps = trials if reps is None else reps
     guard = 2 if guard is None else guard

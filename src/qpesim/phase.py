@@ -31,7 +31,7 @@ def check_bit_budget(needed: int, width: int) -> None:
         )
 
 
-# The values a binary digit may take; BitString checks its digits against it.
+# The values a binary digit may take, as ints; BitString checks its digits against it.
 _DIGITS = frozenset((0, 1))
 
 # The eight binary digits of every byte value, most significant first.
@@ -99,8 +99,8 @@ class BitString:
 
     def __post_init__(self) -> None:
         try:
-            valid = _DIGITS.issuperset(self.bits)
-        except TypeError:  # an unhashable digit is not a bit either
+            valid = all(b.__class__ is int for b in self.bits) and _DIGITS.issuperset(self.bits)
+        except TypeError:  # digits that are not iterable are not bits either
             valid = False
         if not valid:
             raise ValueError("bits must be 0 or 1")
@@ -115,14 +115,17 @@ class BitString:
     def from_int(cls, value: int, length: int) -> "BitString":
         """The ``length``-digit binary expansion of ``value`` (x_1 most significant).
 
-        Digits are read a byte at a time from a 256-entry table.
+        Digits are read a byte at a time from a 256-entry table of the
+        ints 0 and 1, so the result is built without the digit check.
         """
         if length < 0 or not 0 <= value < (1 << length):
             raise ValueError(f"value {value} does not fit in {length} bits")
         digits: tuple[int, ...] = ()
         for byte in value.to_bytes((length + 7) >> 3, "big"):
             digits += _BYTE_DIGITS[byte]
-        return cls(digits[-length & 7 :])
+        string = object.__new__(cls)
+        object.__setattr__(string, "bits", digits[-length & 7 :])
+        return string
 
     def to_int(self) -> int:
         """The digits read as an unsigned integer (x_1 most significant)."""

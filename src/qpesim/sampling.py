@@ -8,14 +8,12 @@ numpy releases; uniforms are 53-bit-mantissa doubles drawn from the
 integer stream.  Independent runs never share a generator; they each get
 a stream derived with :func:`derive_run_seed`.
 
-:func:`make_generator` keys PCG64 through :class:`_RunSeed`, which
-hashes PCG64's one request itself: numpy's SeedSequence gives the
-master's pool, once per master, and each run mixes in only its stream
-and hashes the pool into PCG64's 4 state words.  Any other request goes
-to numpy's SeedSequence.  The state words, and so every PCG64 state,
-are SeedSequence's for every 64-bit (master, stream) pair; the seeding
-parity tests in ``tests/test_sampling.py`` check them against
-SeedSequence itself.
+A single seed is keyed through SeedSequence itself; a campaign's runs
+through :func:`run_generators`, ``_BLOCK`` = 2**10 at a time, which
+derives their streams with a uint64 splitmix64 and hashes them into
+PCG64's state words as SeedSequence does, on uint32 arrays.  Every PCG64
+state is SeedSequence's for every 64-bit (master, stream) pair; the
+seeding parity tests in ``tests/test_sampling.py`` check both paths.
 
 A ``Generator.random(k)`` call consumes the stream exactly as k scalar
 ``random()`` calls do and returns the same doubles, so how a run splits
@@ -39,16 +37,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 import operator
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+# splitmix64's (shift, multiplier) steps (public-domain constants), then a shift by 31
+_SPLITMIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_U64_31, _U64_32, _LOW32 = np.uint64(31), np.uint64(32), np.uint64(0xFFFFFFFF)
+# Most runs run_generators keys at once, so its arrays stay a few tens of KiB.
+_BLOCK = 1 << 10
 # Largest uniform batch one run_trials request or RunDraws block draws
 # (64 KiB of doubles): a default 16-bit Kitaev run fits one block, and
 # 2**16 raised validate's peak RSS by about 0.5 MB.
@@ -92,105 +94,90 @@ class RngSeed:
             raise ValueError(_BAD_STREAM)
 
 
-def _splitmix64(x: int) -> int:
-    """One step of the splitmix64 mixer (public-domain constants)."""
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _run_streams(seed: RngSeed, start: int, count: int) -> np.ndarray:
+    """The uint64 streams of runs ``start .. start + count - 1`` under ``seed``.
+
+    Run i's is splitmix64 of ``seed.stream + golden * (i + 1)``, modulo 2**64.
+    """
+    x = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
+    x *= _GOLDEN
+    x += np.uint64(seed.stream)
+    x += _GOLDEN
+    for shift, mult in _SPLITMIX:
+        x ^= x >> shift
+        x *= mult
+    return x ^ (x >> _U64_31)
 
 
 def derive_run_seed(seed: RngSeed, index: int) -> RngSeed:
-    """Deterministically mix (seed, index) into a fresh independent stream."""
+    """Deterministically mix (seed, index) into a fresh independent stream (a block of one run)."""
     if index < 0:
         raise ValueError("run index must be nonnegative")
-    mixed = _splitmix64((seed.stream + (_GOLDEN * (index + 1))) & _MASK64)
-    return RngSeed(seed.master, mixed)
+    return RngSeed(seed.master, int(_run_streams(seed, operator.index(index), 1)[0]))
 
 
-# The per-run steps of numpy's SeedSequence hash on its pool of 4 words
-# (O'Neill's seed_seq_fe).  Each hashmix step XORs in the running hash
-# constant, steps the constant by its multiplier and multiplies by it, so
-# the (XOR, multiplier) key of every step is fixed by the step's position
-# alone.  The steps are written out over the 4 pool words (``_hash4``,
-# ``_mix_word``): a loop over them costs about a third more per run.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashmix of the pool into the state words
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-_Keys = tuple[tuple[int, int], ...]
-
-
-def _hash_keys(hash_const: int, mult: int, steps: int) -> _Keys:
-    """The (XOR, multiplier) keys of ``steps`` hashmix steps from ``hash_const``."""
-    keys = []
+def _hash_keys(hash_const: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 XOR and multiplier keys of ``steps`` hashmix steps from ``hash_const``."""
+    consts = [hash_const]
     for _ in range(steps):
-        before, hash_const = hash_const, hash_const * mult & _M32
-        keys.append((before, hash_const))
-    return tuple(keys)
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
 
 
-# The master's 4 words and its 12 cross-mixes take keys 0..15, each
-# stream word the next 4 (a stream of 64 bits has 2 words).  PCG64's 4
-# uint64 state words are 8 uint32 words, 4 to a ``_hash4``.
-_ENTROPY_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
-_STREAM_KEYS = (_ENTROPY_KEYS[16:20], _ENTROPY_KEYS[20:24])
-_OUTPUT_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on its pool of 4 uint32
+# words.  Each hashmix step XORs in the running hash constant, steps the
+# constant by its multiplier and multiplies by it, so the key of every step
+# is fixed by its position alone: the master's 4 words and its 12
+# cross-mixes take keys 0..15 of the entropy hash, each stream word the next
+# 4, and the 8 uint32 halves of PCG64's 4 state words keys 0..7 of the
+# output hash, word i hashed from pool word i % 4.
+_XORS, _MULTS = _hash_keys(0x43B0D7E5, 0x931E8875, 24)
+_STREAM_KEYS = [(_XORS[k : k + 4], _MULTS[k : k + 4]) for k in (16, 20)]
+_OUTPUT_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _U32_16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
 
-@lru_cache(maxsize=1)
-def _master_pool(master: int) -> tuple[int, ...]:
-    """The pool numpy's ``SeedSequence(master)`` holds.
+def _hashmix(words: np.ndarray, keys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each uint32 word hashed under its column's key."""
+    h = (words ^ keys[0]) * keys[1]
+    return h ^ (h >> _U32_16)
 
-    A spawn key pads the entropy to the pool size, so this is also the
-    pool of ``SeedSequence(entropy=master, spawn_key=(stream,))`` before
-    the stream's words are mixed in, after keys 0..15 (``_STREAM_KEYS``
-    starts at key 16).
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """Each pool word mixed with its hashed word."""
+    r = _MIX_L * pool - _MIX_R * hashed
+    return r ^ (r >> _U32_16)
+
+
+def _state_words(master: int, streams: np.ndarray) -> np.ndarray:
+    """Row i: ``SeedSequence(entropy=master, spawn_key=(streams[i],)).generate_state(4, np.uint64)``.
+
+    The pool starts as ``SeedSequence(master)``'s, as a spawn key pads the
+    entropy to the pool size; each stream's 1 or 2 words (2 from 2**32 on)
+    are mixed in, and it is hashed into 8 uint32 words, read in
+    little-endian pairs as SeedSequence reads them.
     """
-    return tuple(SeedSequence(master).pool.tolist())
-
-
-def _hash4(words: Any, keys: _Keys) -> tuple[int, int, int, int]:
-    """The hashmix of 4 words, word i under ``keys[i]``."""
-    (x0, m0), (x1, m1), (x2, m2), (x3, m3) = keys
-    w0, w1, w2, w3 = words
-    h0 = (w0 ^ x0) * m0 & _M32
-    h1 = (w1 ^ x1) * m1 & _M32
-    h2 = (w2 ^ x2) * m2 & _M32
-    h3 = (w3 ^ x3) * m3 & _M32
-    return h0 ^ h0 >> 16, h1 ^ h1 >> 16, h2 ^ h2 >> 16, h3 ^ h3 >> 16
-
-
-def _mix_word(pool: Any, word: int, keys: _Keys) -> tuple[int, int, int, int]:
-    """Each pool word mixed with ``word`` hashed under its key."""
-    h0, h1, h2, h3 = _hash4((word, word, word, word), keys)
-    p0, p1, p2, p3 = pool
-    r0 = (_MIX_L * p0 - _MIX_R * h0) & _M32
-    r1 = (_MIX_L * p1 - _MIX_R * h1) & _M32
-    r2 = (_MIX_L * p2 - _MIX_R * h2) & _M32
-    r3 = (_MIX_L * p3 - _MIX_R * h3) & _M32
-    return r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16
+    low = (streams & _LOW32).astype(np.uint32)[:, None]
+    high = (streams >> _U64_32).astype(np.uint32)[:, None]
+    pool = _mix(SeedSequence(master).pool, _hashmix(low, _STREAM_KEYS[0]))
+    pool = np.where(high != 0, _mix(pool, _hashmix(high, _STREAM_KEYS[1])), pool)
+    state = _hashmix(np.tile(pool, 2), _OUTPUT_KEYS)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _RunSeed(ISpawnableSeedSequence):
-    """``SeedSequence(entropy=master, spawn_key=(stream,))``, PCG64's request hashed here.
+    """``SeedSequence(entropy=master, spawn_key=(stream,))`` with PCG64's request answered.
 
-    ``generate_state(4, np.uint64)``, the one request PCG64 makes, is
-    hashed in Python: the stream's 1 or 2 words into the master's pool
-    (numpy's, cached per master), then the pool into 8 state words.
+    ``generate_state(4, np.uint64)``, the one request PCG64 makes,
+    returns ``words``, the run's read-only row of its block's state words.
     Every other request, and ``spawn``, goes to the equal SeedSequence,
     built on first use, so each answers, or raises, as numpy does.
     """
 
-    __slots__ = ("master", "stream", "_seed_seq")
+    __slots__ = ("master", "stream", "_words", "_seed_seq")
 
-    def __init__(self, master: int, stream: int) -> None:
-        self.master = operator.index(master)
-        self.stream = operator.index(stream)
-        if not (0 <= self.master <= _MASK64 and 0 <= self.stream <= _MASK64):
-            raise ValueError("master and stream must be 64-bit unsigned integers")
+    def __init__(self, master: int, stream: int, words: np.ndarray) -> None:
+        self.master, self.stream, self._words = master, stream, words
         self._seed_seq: SeedSequence | None = None
 
     def _numpy(self) -> SeedSequence:
@@ -201,16 +188,9 @@ class _RunSeed(ISpawnableSeedSequence):
 
     def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
         """``n_words`` state words of ``dtype``, as SeedSequence's."""
-        if n_words.__class__ is not int or n_words != 4 or dtype is not np.uint64:
-            return self._numpy().generate_state(n_words, dtype)
-        stream = self.stream
-        pool = _mix_word(_master_pool(self.master), stream & _M32, _STREAM_KEYS[0])
-        if stream >> 32:
-            pool = _mix_word(pool, stream >> 32, _STREAM_KEYS[1])
-        # uint64 word i is uint32 words 2i (low half) and 2i + 1, as SeedSequence reads them
-        w0, w1, w2, w3 = _hash4(pool, _OUTPUT_KEYS[:4])
-        w4, w5, w6, w7 = _hash4(pool, _OUTPUT_KEYS[4:])
-        return np.array([w0 | w1 << 32, w2 | w3 << 32, w4 | w5 << 32, w6 | w7 << 32], dtype=np.uint64)
+        if n_words.__class__ is int and n_words == 4 and dtype is np.uint64:
+            return self._words
+        return self._numpy().generate_state(n_words, dtype)
 
     def spawn(self, n_children: int) -> list[SeedSequence]:
         """The next ``n_children`` children the equal SeedSequence spawns."""
@@ -222,14 +202,33 @@ class _RunSeed(ISpawnableSeedSequence):
         return self._numpy().n_children_spawned
 
 
-def make_generator(seed: RngSeed) -> Generator:
+def make_generator(seed: RngSeed | _RunSeed) -> Generator:
     """PCG64 generator keyed by (master, stream); single-owner, never shared.
 
     Its state is the one ``SeedSequence(entropy=seed.master,
-    spawn_key=(seed.stream,))`` gives PCG64; :class:`_RunSeed` computes
-    it from the master's pool, taken from numpy once per master.
+    spawn_key=(seed.stream,))`` gives PCG64: an :class:`RngSeed` goes
+    through that SeedSequence, a run seed of :func:`run_generators` holds
+    the state words hashed for its block.
     """
-    return Generator(PCG64(_RunSeed(seed.master, seed.stream)))
+    if isinstance(seed, RngSeed):
+        seed = SeedSequence(entropy=seed.master, spawn_key=(seed.stream,))
+    return Generator(PCG64(seed))
+
+
+def run_generators(seed: RngSeed, runs: int) -> Iterator[Generator]:
+    """The generators of runs ``0 .. runs - 1`` of the campaign ``seed``, in order.
+
+    Run i's is ``make_generator(derive_run_seed(seed, i))``'s.  Streams
+    and state words are computed for ``_BLOCK`` runs at a time; each
+    generator is built, by one :func:`make_generator` call, when asked for.
+    """
+    master = seed.master
+    for start in range(0, runs, _BLOCK):
+        streams = _run_streams(seed, start, min(_BLOCK, runs - start))
+        words = _state_words(master, streams)
+        words.flags.writeable = False  # PCG64 reads each row in place
+        for stream, row in zip(streams.tolist(), words):
+            yield make_generator(_RunSeed(master, stream, row))
 
 
 class RunDraws:

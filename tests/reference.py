@@ -6,7 +6,9 @@ tested against.  :class:`LoggedGenerator` records the draws a caller
 makes from a generator.  :func:`reference_seed_sequence` and
 :func:`reference_generator` key a run's generator the way the
 reproducibility contract states it, through numpy's own SeedSequence;
-``qpesim.sampling.make_generator`` is checked against them.
+``qpesim.sampling.make_generator`` is checked against them, and
+:func:`reference_run_stream`, the splitmix64 stream derivation on Python
+ints, is what ``qpesim.sampling`` derives on uint64 arrays.
 """
 
 from __future__ import annotations
@@ -64,3 +66,12 @@ def reference_seed_sequence(master: int, stream: int) -> SeedSequence:
 def reference_generator(master: int, stream: int) -> Generator:
     """PCG64 keyed by :func:`reference_seed_sequence`: the generator a run must get."""
     return Generator(PCG64(reference_seed_sequence(master, stream)))
+
+
+def reference_run_stream(stream: int, index: int) -> int:
+    """Run ``index``'s stream under a campaign stream: splitmix64 of stream + golden * (index + 1)."""
+    mask, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    x = (stream + golden * (index + 1) + golden) & mask  # splitmix64 adds golden first
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+    return x ^ (x >> 31)

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpesim import estimators, kitaev
-from qpesim.cli import _ALGOS, _emit, _random_phase, _run_setup, build_parser, main
+from qpesim import estimators, kitaev, sampling
+from qpesim.cli import _ALGOS, _emit, _fmt, _random_phase, _run_setup, _single_run, build_parser, main
 from qpesim.estimators import constant_precision_config
 from qpesim.kitaev import KitaevConfig, trials_per_basis
 from qpesim.sampling import RngSeed, make_generator
+from reference import reference_generator, reference_run_stream
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -452,6 +453,27 @@ class TestMonteCarlo:
         assert captured.err.splitlines()[-1] == (
             "qpesim montecarlo: error: --runs must be at most 1000000"
         )
+
+    @pytest.mark.parametrize(
+        "algo,block", [("qft --bits 3", None), ("const --bits 4", 7), ("kitaev --bits 3", 5)]
+    )
+    def test_rows_match_the_per_run_reference(self, algo, block, monkeypatch, capsys):
+        # a random-phase campaign past a block boundary prints, row for row,
+        # what each run gives on a generator keyed by numpy's SeedSequence
+        if block is not None:
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+        runs = sampling._BLOCK + 5
+        argv = ["montecarlo", "--algo", *algo.split(), "--runs", str(runs), "--seed", "11", "--format", "csv"]
+        assert main(argv) == 0
+        rows = csv_rows(capsys.readouterr().out)[1:]
+        parser = build_parser()
+        _, cfg = _run_setup(parser, parser.parse_args(argv))
+        want = []
+        for index in range(runs):
+            rng = reference_generator(11, reference_run_stream(0, index))
+            phi, result, ok = _single_run(None, cfg, rng)
+            want.append([str(index), _fmt(phi.value), str(int(ok)), str(result.total_tests)])
+        assert rows == want
 
     def test_fixed_phase_runs(self):
         proc = run_cli(

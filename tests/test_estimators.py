@@ -175,6 +175,14 @@ class TestWrappers:
         with pytest.raises(ValueError, match="degree too small"):
             constant_precision_config(4, 2, 0.05)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_constant_precision_rejects_bit_count_first(self, n):
+        # named before the budget's logarithm of n / eps can fail
+        with pytest.raises(ValueError, match="^bit count must be positive$"):
+            constant_precision_config(n, 3, 0.05)
+        with pytest.raises(ValueError, match="^bit count must be positive$"):
+            constant_precision_config(n, 2, 1.5, reps=3)
+
     def test_constant_precision_counts_underflowing_per_bit_budget(self):
         # 5e-324 / 4 underflows to 0; the count is ceil(4 ln(4 / 5e-324)) = 2985, odd
         assert constant_precision_config(4, 3, 5e-324).reps == 2985

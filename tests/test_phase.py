@@ -350,9 +350,30 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString((0, 2))
 
-    @pytest.mark.parametrize("digit", [True, 1.0, np.int64(1)], ids=repr)
-    def test_accepts_values_equal_to_a_bit(self, digit):
-        assert BitString((0, digit)).bits == (0, 1)
+    @pytest.mark.parametrize("digit", [True, 1.0, 1 + 0j, np.int64(1)], ids=repr)
+    def test_rejects_values_equal_to_a_bit_that_are_not_ints(self, digit):
+        # str(BitString((True, False))) would read "TrueFalse"
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            BitString((0, digit))
+
+    @pytest.mark.parametrize("digits", [[1.0, 0.0], [True, False], (1 + 0j,), [np.int64(1)]], ids=repr)
+    def test_phase_from_bits_rejects_digits_that_are_not_ints(self, digits):
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            phase_from_bits(digits, 8)
+
+    def test_from_text_digits_are_ints(self):
+        assert all(type(b) is int for b in BitString.from_text("0110").bits)
+        with pytest.raises(ValueError, match="not a bit string"):
+            BitString.from_text("1.0")
+
+    def test_from_int_skips_the_digit_check(self, monkeypatch):
+        # the engines' strings come from from_int's table of ints, unchecked
+        def refuse(self):
+            raise AssertionError("digit check ran")
+
+        monkeypatch.setattr(BitString, "__post_init__", refuse)
+        assert BitString.from_int(0b1011, 6).bits == (0, 0, 1, 0, 1, 1)
+        assert str(BitString.from_int(5, 3)) == "101"
 
     @pytest.mark.parametrize("digit", [2, -1, 0.5, "1", None, [1]], ids=repr)
     def test_rejects_values_not_equal_to_a_bit(self, digit):

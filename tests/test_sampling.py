@@ -15,11 +15,11 @@ from scipy import stats
 from qpesim import sampling
 from qpesim.sampling import (
     _CHUNK, _ROW_MAX, RngSeed, RunDraws, _RunSeed, derive_run_seed, make_generator,
-    run_trials,
+    run_generators, run_trials,
 )
 from reference import (
     LoggedGenerator, bernoulli, frequency_estimate, majority, reference_generator,
-    reference_seed_sequence,
+    reference_run_stream, reference_seed_sequence,
 )
 
 COS_PI_8_SQ = math.cos(math.pi / 8) ** 2
@@ -354,7 +354,10 @@ class TestSeeds:
 # Word edges of both halves of a seed pair: numpy reads 0 .. 2**32 - 1 as
 # one 32-bit word and 2**32 .. 2**64 - 1 as two.
 _EDGES = (0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1)
+_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 _UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+# Streams of either word count, a 1-word one (high word 0) as often as a 2-word one.
+_STREAMS = st.one_of(st.integers(min_value=0, max_value=2**32 - 1), _UINT64)
 
 
 def _edge_pairs(example_test):
@@ -364,18 +367,33 @@ def _edge_pairs(example_test):
     return example_test
 
 
+def block_seed(master, stream):
+    """The object that answers PCG64's request for a block-keyed run of this seed pair."""
+    seed = RngSeed(master, stream)
+    words = sampling._state_words(seed.master, np.array([seed.stream], dtype=np.uint64))
+    return _RunSeed(seed.master, seed.stream, words[0])
+
+
+def reference_states(seed, runs):
+    """The generator states of a campaign's runs, each keyed by numpy's SeedSequence."""
+    streams = [reference_run_stream(seed.stream, index) for index in range(runs)]
+    return [reference_generator(seed.master, stream).bit_generator.state for stream in streams]
+
+
 class TestSeedingParity:
     """``make_generator`` keys PCG64 to the state numpy's SeedSequence gives it.
 
     The reproducibility contract is stated on ``SeedSequence(entropy=master,
-    spawn_key=(stream,))``; these tests hold ``_RunSeed``, which hashes PCG64's
-    request itself and hands the rest to SeedSequence, to numpy's, bit for bit.
+    spawn_key=(stream,))``; a single seed goes through it, and these tests
+    hold the block path, whose ``_RunSeed`` answers PCG64's request with the
+    state words hashed for a whole block of runs and hands the rest to
+    SeedSequence, to numpy's, bit for bit.
     """
 
     @given(_UINT64, _UINT64)
     @_edge_pairs
     def test_state_words(self, master, stream):
-        ours, numpys = _RunSeed(master, stream), reference_seed_sequence(master, stream)
+        ours, numpys = block_seed(master, stream), reference_seed_sequence(master, stream)
         for n_words in range(17):
             for dtype in (np.uint32, np.uint64, "uint32", np.dtype("<u8")):
                 want = numpys.generate_state(n_words, dtype)
@@ -386,23 +404,81 @@ class TestSeedingParity:
     @given(_UINT64, _UINT64)
     @_edge_pairs
     def test_generator_state(self, master, stream):
-        state = make_generator(RngSeed(master, stream)).bit_generator.state
-        assert state == reference_generator(master, stream).bit_generator.state
+        want = reference_generator(master, stream).bit_generator.state
+        assert make_generator(RngSeed(master, stream)).bit_generator.state == want
+        assert make_generator(block_seed(master, stream)).bit_generator.state == want
+
+    @given(st.one_of(st.sampled_from(_MASTERS), _UINT64), st.lists(_STREAMS, min_size=1, max_size=40))
+    @example(0, [0])
+    @example(2**64 - 1, [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 5, 2**40 + 3])
+    @example(2**32, [2**32 - 1, 2**32])
+    @example(1, [7, 2**63])
+    @example(2**32 - 1, [2**64 - 1, 0])
+    def test_block_state_words(self, master, streams):
+        # one block mixing 1-word and 2-word streams: each row is the
+        # words SeedSequence gives PCG64 for that stream
+        rows = sampling._state_words(master, np.array(streams, dtype=np.uint64))
+        assert rows.dtype == np.uint64 and rows.shape == (len(streams), 4)
+        for stream, row in zip(streams, rows):
+            assert np.array_equal(row, reference_seed_sequence(master, stream).generate_state(4, np.uint64))
+
+    @given(
+        _UINT64, _UINT64,
+        st.one_of(st.integers(min_value=0, max_value=5000), st.integers(min_value=2**64 - 40, max_value=2**65)),
+        st.integers(min_value=1, max_value=40),
+    )
+    @example(0, 0, 0, 3)
+    @example(2**64 - 1, 2**64 - 1, 2**64 - 3, 5)
+    def test_block_streams(self, master, stream, start, count):
+        # the vectorised splitmix64 equals the Python-int one and derive_run_seed,
+        # across the wrap of index + 1 at 2**64
+        seed = RngSeed(master, stream)
+        streams = sampling._run_streams(seed, start, count)
+        assert streams.dtype == np.uint64
+        want = [reference_run_stream(stream, index) for index in range(start, start + count)]
+        assert streams.tolist() == want
+        assert [derive_run_seed(seed, index).stream for index in range(start, start + count)] == want
+
+    def test_known_run_streams(self):
+        # regression pins of derived streams, recorded from the Python-int derivation
+        assert [derive_run_seed(RngSeed(0), index).stream for index in range(3)] == [
+            7960286522194355700, 487617019471545679, 17909611376780542444,
+        ]
+        assert derive_run_seed(RngSeed(7, 2**64 - 1), 2**64 - 1).stream == 16490336266968443936
 
     def test_derived_run_streams(self):
         # the streams a campaign actually keys, for two masters in turn
         for master in (0, 2**64 - 1):
+            seed = RngSeed(master)
+            got = [g.bit_generator.state for g in run_generators(seed, 200)]
+            assert got == reference_states(seed, 200)
             for index in range(200):
-                seed = derive_run_seed(RngSeed(master), index)
-                want = reference_generator(seed.master, seed.stream).bit_generator.state
-                assert make_generator(seed).bit_generator.state == want
+                derived = make_generator(derive_run_seed(seed, index)).bit_generator.state
+                assert derived == got[index]
+
+    @pytest.mark.parametrize("master", [*_MASTERS, 0x5DEECE66D2B9A1F7, 123456789])
+    def test_campaign_crosses_blocks(self, master, count_calls):
+        # past two blocks, on a campaign stream too: one make_generator call per run
+        made = count_calls(sampling, "make_generator")
+        seed = RngSeed(master, master // 3)
+        runs = 2 * sampling._BLOCK + 3
+        assert [g.bit_generator.state for g in run_generators(seed, runs)] == reference_states(seed, runs)
+        assert len(made) == runs
+
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=40), _UINT64)
+    def test_any_block_size(self, block, runs, master):
+        # blocks of any size key the same generators, built one at a time
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_BLOCK", block)
+            got = [g.bit_generator.state for g in run_generators(RngSeed(master), runs)]
+        assert got == reference_states(RngSeed(master), runs)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, "uint16"])
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ValueError, match="only support uint32 or uint64"):
             reference_seed_sequence(3, 4).generate_state(4, dtype)
         with pytest.raises(ValueError, match="only support uint32 or uint64"):
-            _RunSeed(3, 4).generate_state(4, dtype)
+            block_seed(3, 4).generate_state(4, dtype)
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
     @pytest.mark.parametrize("n_words", [-1, 2.5, 4.0])
@@ -410,36 +486,33 @@ class TestSeedingParity:
         with pytest.raises(Exception) as numpys:
             reference_seed_sequence(3, 4).generate_state(n_words, dtype)
         with pytest.raises(numpys.type, match=f"^{re.escape(str(numpys.value))}$"):
-            _RunSeed(3, 4).generate_state(n_words, dtype)
+            block_seed(3, 4).generate_state(n_words, dtype)
 
-    def test_pcg64_request_is_hashed_here(self, count_calls):
-        # 200 runs of one master build one SeedSequence, for the master's
-        # pool: PCG64's request takes the hand-hashed path, not numpy's
+    def test_campaign_builds_only_the_masters_seed_sequence(self, count_calls):
+        # a 200-run campaign, one block, builds one SeedSequence, for the
+        # master's pool: PCG64's requests take the block's words, not numpy's hash
         built = count_calls(sampling, "SeedSequence")
-        sampling._master_pool.cache_clear()
         master = RngSeed(2**40 + 3)
-        for index in range(200):
-            seed = derive_run_seed(master, index)
-            want = reference_generator(seed.master, seed.stream).bit_generator.state
-            assert make_generator(seed).bit_generator.state == want
+        states = [g.bit_generator.state for g in run_generators(master, 200)]
         assert built == [(master.master,)]
+        assert states == reference_states(master, 200)
 
     @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32])
     def test_numpy_integer_seed(self, kind):
-        ours = _RunSeed(kind(2**31 + 5), kind(12345)).generate_state(4, np.uint64)
+        ours = block_seed(kind(2**31 + 5), kind(12345)).generate_state(4, np.uint64)
         assert np.array_equal(ours, reference_seed_sequence(2**31 + 5, 12345).generate_state(4, np.uint64))
 
     @pytest.mark.parametrize("master,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
     def test_out_of_range_rejected(self, master, stream):
         with pytest.raises(ValueError, match="64-bit unsigned"):
-            _RunSeed(master, stream)
+            block_seed(master, stream)
 
     @given(_UINT64, _UINT64)
     @example(0, 0)
     @example(2**64 - 1, 2**32)
     def test_spawn(self, master, stream):
         # children, and children of a second spawn, are the SeedSequence's
-        ours, numpys = _RunSeed(master, stream), reference_seed_sequence(master, stream)
+        ours, numpys = block_seed(master, stream), reference_seed_sequence(master, stream)
         for count in (3, 2):
             got, want = ours.spawn(count), numpys.spawn(count)
             assert [c.spawn_key for c in got] == [c.spawn_key for c in want]
@@ -451,13 +524,25 @@ class TestSeedingParity:
 
     @pytest.mark.skipif(not hasattr(np.random.Generator, "spawn"), reason="Generator.spawn is numpy 1.25+")
     def test_generator_spawn(self):
-        got = make_generator(RngSeed(9, 2**40 + 1)).spawn(3)
-        want = reference_generator(9, 2**40 + 1).spawn(3)
-        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+        want = [g.bit_generator.state for g in reference_generator(9, 2**40 + 1).spawn(3)]
+        for g in (make_generator(RngSeed(9, 2**40 + 1)), make_generator(block_seed(9, 2**40 + 1))):
+            assert [child.bit_generator.state for child in g.spawn(3)] == want
+        seed = RngSeed(9)
+        block_built = list(run_generators(seed, 3))[2]
+        want = reference_generator(9, derive_run_seed(seed, 2).stream).spawn(2)
+        assert [g.bit_generator.state for g in block_built.spawn(2)] == [g.bit_generator.state for g in want]
 
     def test_pickle_round_trip(self):
-        g = make_generator(derive_run_seed(RngSeed(11), 4))
-        g.random(7)
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy.bit_generator.state == g.bit_generator.state
-        assert np.array_equal(copy.random(5), g.random(5))
+        seed = RngSeed(11)
+        for g in (make_generator(derive_run_seed(seed, 4)), list(run_generators(seed, 5))[4]):
+            g.random(7)
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy.bit_generator.state == g.bit_generator.state
+            assert np.array_equal(copy.random(5), g.random(5))
+
+    def test_block_words_are_read_only(self):
+        # the row PCG64 reads is the block's own, so no caller may write it
+        g = next(run_generators(RngSeed(5), 2))
+        words = g.bit_generator._seed_seq.generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = 0
