@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import astuple
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -179,7 +179,7 @@ _BUDGETS = [("kitaev_trials", "kitaev", 8), ("const_precision_trials", "const_pr
 
 
 def _emit(
-    fmt: str, columns: list[tuple[str, str, int]], rows: list, summary: tuple | None = None
+    fmt: str, columns: list[tuple[str, str, int]], rows: Iterable, summary: tuple | None = None
 ) -> None:
     """Print rows as an aligned table, csv, or json objects.
 
@@ -284,8 +284,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # The whole grid is checked, as one float64 array, before the first row is
+    # printed; the rows are then built as they are printed.
     if args.eps_list is not None:
-        grid = _float_list(parser, "--eps-list", args.eps_list)
+        grid = np.array(_float_list(parser, "--eps-list", args.eps_list))
     else:
         if args.points < 2:
             parser.error("--points must be at least 2")
@@ -294,15 +296,15 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not 0 < args.eps_min < args.eps_max < 1:
             parser.error("need 0 < --eps-min < --eps-max < 1")
         exponents = np.linspace(math.log10(args.eps_max), math.log10(args.eps_min), args.points)
-        grid = [float(10.0**e) for e in exponents]
+        grid = np.fromiter((10.0**e for e in exponents), np.float64, args.points)
+    if not ((0.0 < grid) & (grid < 1.0)).all():
+        parser.error("eps values must lie in (0, 1)")
     mode = _budget_mode(args)
-    rows = []
-    for eps in grid:
-        if not 0.0 < eps < 1.0:
-            parser.error("eps values must lie in (0, 1)")
-        kit = kitaev_trials_per_bit(eps, mode)
-        con = const_precision_trials(eps, DEFAULT_DEGREE)
-        rows.append((eps, kit, con, kit / con))
+    budgets = (
+        (eps, kitaev_trials_per_bit(eps, mode), const_precision_trials(eps, DEFAULT_DEGREE))
+        for eps in map(float, grid)
+    )
+    rows = ((eps, kit, con, kit / con) for eps, kit, con in budgets)
     _emit(args.format, [("eps", "eps", 12), *_BUDGETS, ("ratio", "ratio", 10)], rows)
     return 0
 

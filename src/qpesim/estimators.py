@@ -7,10 +7,14 @@ applies inverse phase corrections controlled by the most recent
 ``reps`` repetitions.  Guard stages are extra low-order bits estimated
 first and dropped from the reported result.
 
-A run keeps only its per-stage vote counts and its decided bits; its
-``stage_log`` is a :class:`StageLog` that builds the ``StageRecord``s
-when first read, so campaigns that never read the log build no residual
-``Phase``.
+A run keeps its decided bits in a small integer, x_i at bit
+``n + guard + window - i``, so a stage reads its correction window with
+one shift and one mask whatever the phase's width; ORACLE feedback
+shifts ``raw`` once per run into the same alignment.  A run keeps only
+its per-stage vote counts and that integer; its ``stage_log`` is a
+:class:`StageLog`, given the decided bits realigned with ``raw`` once
+per run, that builds the ``StageRecord``s when first read, so campaigns
+that never read the log build no residual ``Phase``.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So a run on the same
@@ -219,12 +223,14 @@ def semiclassical_estimate(
     and the majority becomes bit x_i.  Guard bits are dropped from the
     reported string.
 
-    Stages run on the raw integer of phi.  The decided bits are one
-    integer aligned with ``raw`` (x_i at bit ``width - i``), so stage i
-    reads its correction bits x_{i+1} .. x_{i+window} as one window
-    (x_{i+1} most significant) at the same place in ``raw`` (ORACLE) or
-    in the decided integer (ESTIMATED), and the residual is
-    ``(2**(i-1) * raw - bits * 2**(width-1-window)) mod 2**width``.
+    Stages run on the raw integer of phi.  The decided bits are one small
+    integer, x_i at bit ``n + guard + window - i``, so stage i reads its
+    correction bits x_{i+1} .. x_{i+window} as one window (x_{i+1} most
+    significant) with one shift and mask, ``>> (n + guard - i)``, of the
+    decided integer (ESTIMATED) or of ``raw`` shifted once per run into
+    the same alignment (ORACLE).  The majority is ``ones > reps >> 1``,
+    and the residual is ``(2**(i-1) * raw - bits * 2**(width-1-window))
+    mod 2**width``, computed only when the memo lacks the stage state.
     That is the same integer and the same probability float as
     :func:`~qpesim.phase.double_k`, :func:`~qpesim.phase.corrected_residual`
     and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
@@ -232,9 +238,10 @@ def semiclassical_estimate(
     the decided integer's top n bits.
 
     A run keeps only its vote counts and its decided integer:
-    ``stage_log`` is a :class:`StageLog` that builds the ``StageRecord``s
-    (residual ``Phase`` included) when it is first read, so campaigns that
-    never read the log build none.
+    ``stage_log`` is a :class:`StageLog`, given that integer realigned
+    with ``raw`` (x_i at bit ``width - i``) once after the last stage,
+    that builds the ``StageRecord``s (residual ``Phase`` included) when it
+    is first read, so campaigns that never read the log build none.
 
     The probabilities and outcomes a run computes are memoised for one
     ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
@@ -273,17 +280,18 @@ def semiclassical_estimate(
     mask = span - 1
     shift = width - 1 - window
     window_mask = (1 << window) - 1
-    oracle = cfg.feedback is Feedback.ORACLE
+    # ORACLE's correction bits: raw aligned with the decided integer
+    oracle = raw >> (width - total_stages - window) if cfg.feedback is Feedback.ORACLE else None
     reps = cfg.reps
-    tests = reps * total_stages
+    half = reps >> 1
     if rng.__class__ is RunDraws:
         rng.require(total_stages, reps)
     else:
         rng = RunDraws(rng, total_stages, reps)
-    decided = 0  # x_i at bit width - i, aligned with raw
+    decided = 0  # x_i at bit total_stages + window - i
     ones: list[int] = []
     for i in range(total_stages, 0, -1):
-        window_bits = ((raw if oracle else decided) >> (width - i - window)) & window_mask
+        window_bits = ((decided if oracle is None else oracle) >> (total_stages - i)) & window_mask
         state = (i << window) | window_bits
         p = probs.get(state)
         if p is None:
@@ -293,18 +301,19 @@ def semiclassical_estimate(
                 probs[state] = p
         h = run_trials(p, reps, rng)
         ones.append(h)
-        decided |= (2 * h > reps) << (width - i)
-    value = decided >> (width - cfg.n)
+        if h > half:
+            decided |= 1 << (total_stages + window - i)
+    value = decided >> (window + cfg.guard)
     leaf = leaves.get(value)
     if leaf is None:
         leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
         if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
             leaves[value] = leaf
     return EstimationResult(
-        bits=leaf[0],
-        estimate=leaf[1],
-        stage_log=StageLog(raw, width, cfg, tuple(ones), decided),
-        total_tests=tests,
+        leaf[0],
+        leaf[1],
+        StageLog(raw, width, cfg, tuple(ones), (decided >> window) << (width - total_stages)),
+        reps * total_stages,
     )
 
 

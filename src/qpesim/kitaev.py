@@ -37,7 +37,10 @@ checks the walk against the digit-by-digit stitch on every snapped
 sequence of up to five stages.
 
 A run reads its 2n batteries as the rows of one ``sampling.RunDraws``,
-drawn in one generator call and counted by bisection on sorted rows.
+drawn in one generator call per 2**13 uniforms (one call at the default
+169 per battery) and counted by bisection on sorted rows, or, past 301
+per battery, by a numpy compare on unsorted ones; a battery of more
+than 4096 is drawn on its own.
 A run with an even ``KitaevConfig.reps`` can tie at (m1/2, m1/2) and
 raise ``indeterminate angle`` mid-run; before the error leaves
 ``kitaev_estimate``, the source rewinds the generator over the rows it

@@ -23,11 +23,12 @@ uniforms of one stream (one run's, or many consecutive runs') in blocks,
 one generator call for up to ``_CHUNK`` = 2**13 uniforms into one numpy
 block, and :func:`run_trials` counts each row from the block in one call.
 
-Two more clauses make that exact.  Sorted rows: a block's rows of more
-than one uniform are sorted in place before they are counted, and a
+Two more clauses make that exact.  Sorted rows: a block's rows of 2 to
+``_ROW_MAX`` uniforms are sorted in place before they are counted, and a
 count of the uniforms below ``p`` does not depend on their order within
 the row, so the bisection count on a sorted row is the compare-and-count
-on the drawn one.  Rewind: a run that stops before its last row puts the
+on the drawn one; longer rows stay unsorted and are counted with that
+compare.  Rewind: a run that stops before its last row puts the
 generator back over the uniforms it drew and did not read
 (:meth:`RunDraws.rewind`), so the generator's state after any run is the
 state per-row draws would have left.
@@ -55,10 +56,11 @@ _BLOCK = 1 << 10
 # (64 KiB of doubles): a default 16-bit Kitaev run fits one block, and
 # 2**16 raised validate's peak RSS by about 0.5 MB.
 _CHUNK = 1 << 13
-# Longest row a RunDraws block holds: up to about here, sorting a row and
+# Longest row a RunDraws block sorts: up to about here, sorting a row and
 # bisecting it costs no more than a numpy compare-and-count of it (under
-# timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Longer rows are read
-# from the generator as they come.  Odd, so a const majority can use it.
+# timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Longer rows, up to
+# _CHUNK // 2, are counted unsorted from the block with that compare.  Odd,
+# so a const majority can use it.
 _ROW_MAX = 301
 
 _BAD_MASTER = "master seed must be a 64-bit unsigned integer"
@@ -232,20 +234,22 @@ def run_generators(seed: RngSeed, runs: int) -> Iterator[Generator]:
 
 
 class RunDraws:
-    """``rows`` rows of ``size`` uniforms of one stream, drawn from ``rng`` in sorted blocks.
+    """``rows`` rows of ``size`` uniforms of one stream, drawn from ``rng`` in blocks.
 
     The rows may be one run's or span many consecutive runs on ``rng``.
     Each row is read by one :func:`run_trials` request of exactly
     ``size`` trials, in order.  A request finding no unread row draws the
     next ``min(rows left, _CHUNK // size)`` rows with one ``rng.random``
-    call into one numpy block, read through a ``memoryview``, and sorts
-    each row of more than one uniform in place; :func:`run_trials` then
-    counts the uniforms of its row below ``p`` by bisection, or, for a
-    row of one uniform, with one compare.  Sorting moves the uniforms
+    call into one numpy block.  Rows of 2 to ``_ROW_MAX`` uniforms are
+    sorted in place and read through a ``memoryview``; :func:`run_trials`
+    counts the uniforms of such a row below ``p`` by bisection, of a row
+    of one uniform with one compare, and of a longer row with one numpy
+    compare-and-count on the unsorted block.  Sorting moves the uniforms
     within their row but changes none, so the count is the one
     ``count_nonzero(rng.random(size) < p)`` gives.  Rows longer than
-    ``_ROW_MAX`` are not blocked at all: each request reads its row from
-    ``rng`` through the chunked path of :func:`run_trials`.
+    ``_CHUNK // 2``, which a block would hold one at a time, are not
+    blocked at all: each request reads its row from ``rng`` through the
+    chunked path of :func:`run_trials`.
 
     A request of another size, or past the last row, raises before
     anything is drawn, as does :meth:`require` for a run that would make
@@ -265,14 +269,17 @@ class RunDraws:
         self._pos = self._end = 0
 
     def _draw(self) -> None:
-        """Draw the next block of rows and sort each row of more than one uniform."""
+        """Draw the next block of rows and sort each row of 2 .. ``_ROW_MAX`` uniforms."""
         size = self._size
         k = min(self._rows, _CHUNK // size)
         block = self._rng.random(k * size)
         self._rows -= k
-        if size > 1:
-            block.reshape(k, size).sort(axis=1)
-        self._view = memoryview(block)
+        if size > _ROW_MAX:
+            self._view = block  # counted with numpy, unsorted
+        else:
+            if size > 1:
+                block.reshape(k, size).sort(axis=1)
+            self._view = memoryview(block)
         self._end = k * size
 
     def require(self, rows: int, size: int) -> None:
@@ -310,9 +317,10 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     interchangeable.  It draws at most ``_CHUNK`` uniforms a call, so
     memory stays bounded for any m.  ``rng`` may be a
     :class:`RunDraws`, whose next row, of exactly m uniforms, is counted
-    from its block: by bisection on the sorted row, with one compare for
-    a row of one uniform, or through the chunked path for a row longer
-    than ``_ROW_MAX``.
+    from its block: by bisection on a sorted row of up to ``_ROW_MAX``,
+    with one compare for a row of one uniform, with a numpy compare for a
+    longer row, or through the chunked path for a row longer than
+    ``_CHUNK // 2``.
     """
     if m < 1:
         raise ValueError("trial count must be positive")
@@ -326,7 +334,7 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     if pos == rng._end:
         if not rng._rows:
             raise ValueError("request past the run's last row")
-        if m > _ROW_MAX:
+        if 2 * m > _CHUNK:  # a block would hold this one row
             rng._rows -= 1
             return _count(p, m, rng._rng)
         rng._draw()
@@ -334,7 +342,9 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     rng._pos = pos + m
     if m == 1:
         return 1 if rng._view[pos] < p else 0
-    return bisect_left(rng._view, p, pos, pos + m) - pos
+    if m <= _ROW_MAX:
+        return bisect_left(rng._view, p, pos, pos + m) - pos
+    return int(np.count_nonzero(rng._view[pos : pos + m] < p))
 
 
 def _count(p: float, m: int, rng: Generator) -> int:

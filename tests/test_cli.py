@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpesim import estimators, kitaev, sampling
+from qpesim import cli, estimators, kitaev, sampling
 from qpesim.cli import _ALGOS, _emit, _fmt, _random_phase, _run_setup, _single_run, build_parser, main
 from qpesim.estimators import constant_precision_config
 from qpesim.kitaev import KitaevConfig, trials_per_basis
@@ -390,6 +390,31 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err.startswith("usage: qpesim compare ")
         assert captured.err.splitlines()[-1] == "qpesim compare: error: --points must be at most 1000000"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_bad_eps_anywhere_prints_no_row(self, fmt, capsys):
+        # the whole grid is checked before the first row is printed
+        assert exit_code(["compare", "--eps-list", "0.1,0.2,1.5", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "qpesim compare: error: eps values must lie in (0, 1)"
+
+    def test_rows_print_as_they_are_built(self, monkeypatch, capsys):
+        # a budget that fails on the third eps leaves the first two rows printed
+        calls = []
+
+        def budget(eps, mode):
+            calls.append(eps)
+            if len(calls) == 3:
+                raise RuntimeError("third row")
+            return 100
+
+        monkeypatch.setattr(cli, "kitaev_trials_per_bit", budget)
+        with pytest.raises(RuntimeError, match="third row"):
+            main(["compare", "--eps-list", "0.1,0.2,0.3", "--format", "csv"])
+        assert capsys.readouterr().out.splitlines() == [
+            "eps,kitaev_trials,const_precision_trials,ratio", "0.1,100,10,10", "0.2,100,7,14.2857142857"
+        ]
 
     def test_default_grid_monotone(self):
         proc = run_cli("compare")

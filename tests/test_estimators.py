@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpesim import estimators, refsim, sampling
 from qpesim.estimators import (
@@ -22,6 +24,7 @@ from qpesim.estimators import (
     semiclassical_estimate,
 )
 from qpesim.phase import (
+    GUARD_BITS,
     BitString,
     Phase,
     corrected_residual,
@@ -465,6 +468,60 @@ class TestFixedPhaseReplay:
         _assert_campaign_replays(phi, cfg, 0, 600)
 
 
+@st.composite
+def _engine_cases(draw):
+    """(phi, cfg, seed): any odd reps (a majority needs window 2 or more), any headroom."""
+    reps = 2 * draw(st.integers(min_value=0, max_value=12)) + 1
+    cfg = EstimatorConfig(
+        n=draw(st.integers(min_value=1, max_value=8)),
+        window=draw(st.integers(min_value=0 if reps == 1 else 2, max_value=9)),
+        reps=reps,
+        guard=draw(st.integers(min_value=0, max_value=3)),
+        feedback=draw(st.sampled_from(list(Feedback))),
+    )
+    needed = cfg.n + cfg.guard + cfg.window + GUARD_BITS
+    width = draw(st.integers(min_value=needed, max_value=needed + 70))
+    raw = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    return Phase(raw, width), cfg, draw(st.integers(min_value=0, max_value=2**32))
+
+
+def _assert_same_run(got: EstimationResult, want: EstimationResult) -> None:
+    assert got.bits == want.bits
+    assert got.estimate == want.estimate
+    assert tuple(got.stage_log) == want.stage_log
+    assert got.total_tests == want.total_tests
+    assert got.warnings == want.warnings
+
+
+# A phase far wider than a machine word: the engine's integers are exact at any width.
+_WIDE = Phase((0x9E3779B97F4A7C15 << 1036) | 0x5DEECE66D, 1100)
+
+
+class TestEngineProperty:
+    """The engine against ``reference_estimate`` on drawn configurations, phases and seeds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_engine_cases())
+    @example((_WIDE, EstimatorConfig(n=6, window=5), 7))
+    @example((_WIDE, EstimatorConfig(n=5, window=2, reps=3, guard=2, feedback=Feedback.ORACLE), 8))
+    def test_engine_matches_reference(self, case):
+        # one run on a fresh generator, then three on one shared RunDraws (the
+        # stage memo, keyed on this phase and config, serves the later runs)
+        phi, cfg, seed = case
+        engine_rng, reference_rng = gen(seed), gen(seed)
+        _assert_same_run(
+            semiclassical_estimate(phi, cfg, engine_rng), reference_estimate(phi, cfg, reference_rng)
+        )
+        assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+        shared, bare = gen(seed, 1), gen(seed, 1)
+        source = RunDraws(shared, 3 * (cfg.n + cfg.guard), cfg.reps)
+        for _ in range(3):
+            _assert_same_run(
+                semiclassical_estimate(phi, cfg, source), reference_estimate(phi, cfg, bare)
+            )
+        assert shared.bit_generator.state == bare.bit_generator.state
+
+
 class TestRunDrawsReplay:
     """Runs read through one ``RunDraws`` row source: one generator call per 2**13 trials."""
 
@@ -505,14 +562,15 @@ class TestRunDrawsReplay:
             (constant_precision_config(16, 3, 0.05), [450]),
             (full_qft_config(5), [5]),
             (EstimatorConfig(n=4, window=2, reps=_ROW_MAX, guard=2), [6 * _ROW_MAX]),
-            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX + 2, guard=2), [_ROW_MAX + 2] * 6),
+            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX + 2, guard=2), [6 * (_ROW_MAX + 2)]),
             (EstimatorConfig(n=1, window=2, reps=_CHUNK + 1, guard=2), [_CHUNK, 1] * 3),
         ],
         ids=["const", "qft", "row-max", "past-row-max", "past-chunk"],
     )
     def test_generator_calls_per_run(self, cfg, calls):
-        # rows of up to _ROW_MAX votes come from one block; longer rows are
-        # read from the generator, one row (in chunks) per stage
+        # rows of up to _CHUNK // 2 votes come from one block, sorted up to
+        # _ROW_MAX; longer rows are read from the generator, one row (in
+        # chunks) per stage
         logged = LoggedGenerator(gen(1))
         semiclassical_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
         assert logged.sizes == calls

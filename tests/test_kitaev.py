@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from qpesim import kitaev
+from qpesim import kitaev, sampling
 from qpesim.bounds import BudgetMode, kitaev_accuracy_threshold, kitaev_total_budget
 from qpesim.estimators import EstimationResult
 from qpesim.kitaev import (
@@ -37,7 +37,7 @@ from qpesim.phase import (
     phase_from_fraction,
 )
 from qpesim.phase import TestBasis as Basis
-from qpesim.sampling import RngSeed, make_generator, run_trials
+from qpesim.sampling import _CHUNK, _ROW_MAX, RngSeed, make_generator, run_trials
 from reference import LoggedGenerator, frequency_estimate
 
 
@@ -443,7 +443,36 @@ class TestRunSource:
         kitaev_estimate(Phase(0x9E3779B97F4A7C15), KitaevConfig(n=16), logged)
         assert logged.sizes == [2 * 16 * 169] == [5408]
 
+    @pytest.mark.parametrize("m1", [_ROW_MAX + 2, 1001, 4097])
+    def test_long_batteries_replay_reference(self, m1):
+        # batteries past _ROW_MAX come unsorted from blocks of up to _CHUNK
+        # uniforms and are counted with numpy; 4097, past half a block, is
+        # drawn a battery at a time
+        assert _ROW_MAX < m1 <= _CHUNK
+        cfg = KitaevConfig(n=16, eps=0.05, reps=m1)
+        logged = LoggedGenerator(gen(1))
+        kitaev_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
+        full, rest = divmod(32, _CHUNK // m1)
+        assert logged.sizes == [_CHUNK // m1 * m1] * full + ([rest * m1] if rest else [])
+        for seed in range(8):
+            phi = Phase(int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)))
+            engine_rng, reference_rng = gen(seed), gen(seed)
+            assert kitaev_estimate(phi, cfg, engine_rng) == reference_kitaev(
+                phi, cfg, reference_rng, False
+            ), f"seed {seed}, phi {phi}"
+            assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_tie_raising_campaign_stops_where_the_reference_does(self):
+        self._assert_tie_campaign_replays()
+
+    def test_tie_raising_campaign_on_unsorted_rows(self, monkeypatch):
+        # the same campaign with its rows of 2 past the row limit: each block
+        # holds unsorted rows, counted with numpy, and a tie rewinds over them
+        monkeypatch.setattr(sampling, "_ROW_MAX", 1)
+        self._assert_tie_campaign_replays()
+
+    @staticmethod
+    def _assert_tie_campaign_replays():
         # even reps tie at (1, 1) and raise mid-run; each run on the shared
         # stream starts where the reference's run before it left the generator
         cfg = KitaevConfig(n=8, eps=0.05, reps=2)

@@ -127,6 +127,8 @@ _P_VALUES = st.one_of(
 
 # Rows of _ROW_MAX uniforms one block holds.
 _BLOCK_ROWS = _CHUNK // _ROW_MAX
+# Rows a block holds of the shortest length counted unsorted.
+_LONG_ROWS = _CHUNK // (_ROW_MAX + 2)
 
 
 def _buffered(seed):
@@ -146,9 +148,10 @@ class TestRunDraws:
         st.integers(min_value=0, max_value=2**32),
     )
     def test_counts_are_the_generator_rows(self, chunk, row_max, size, ps, seed):
-        # at a block of a few uniforms most runs span several blocks, and
-        # rows past the row limit are read from the generator directly;
-        # no generator call draws more than a block
+        # at a block of a few uniforms most runs span several blocks, rows
+        # past the row limit are counted unsorted, and rows past the block
+        # are read from the generator directly; no generator call draws more
+        # than a block
         row_max = min(row_max, chunk)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_CHUNK", chunk)
@@ -158,7 +161,9 @@ class TestRunDraws:
         assert all(1 <= count <= chunk for count in logged.sizes if count is not None)
         assert logged.rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("size", [1, 2, 25, 169, _ROW_MAX, _ROW_MAX + 2, _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "size", [1, 2, 25, 169, _ROW_MAX, _ROW_MAX + 2, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK + 1]
+    )
     def test_full_size_runs(self, size):
         # a run at the real block and row limits, with p at 0, 1 and own uniforms
         ps = [0.0, 1.0, 0.37, ("own", 0), ("own", size // 2), ("own", size - 1), 0.9]
@@ -172,10 +177,12 @@ class TestRunDraws:
             (1, 2 * _CHUNK + 5, [_CHUNK] * 2 + [5]),
             (25, 2 * (_CHUNK // 25) + 3, [_CHUNK // 25 * 25] * 2 + [75]),
             (_ROW_MAX, 2 * _BLOCK_ROWS + 4, [_BLOCK_ROWS * _ROW_MAX] * 2 + [4 * _ROW_MAX]),
-            (_ROW_MAX + 2, 3, [_ROW_MAX + 2] * 3),
+            (_ROW_MAX + 2, 2 * _LONG_ROWS + 1, [_LONG_ROWS * (_ROW_MAX + 2)] * 2 + [_ROW_MAX + 2]),
+            (_CHUNK // 2, 5, [_CHUNK] * 2 + [_CHUNK // 2]),
+            (_CHUNK // 2 + 1, 2, [_CHUNK // 2 + 1] * 2),
             (_CHUNK + 1, 2, [_CHUNK, 1] * 2),
         ],
-        ids=["one", "const", "row-max", "past-row-max", "past-chunk"],
+        ids=["one", "const", "row-max", "past-row-max", "half-chunk", "past-half-chunk", "past-chunk"],
     )
     def test_block_stays_within_a_chunk(self, size, rows, calls):
         logged = LoggedGenerator(gen(9))
