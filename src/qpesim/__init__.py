@@ -62,7 +62,6 @@ from .phase import (
 )
 from .refsim import (
     MAX_DENSE_BITS,
-    OutcomeDistribution,
     best_outcome_mass,
     empirical_vs_exact,
     qpe_distribution_exact,

@@ -46,18 +46,16 @@ class TrialTableRow:
     const_precision_trials: int
 
 
-def chernoff_tail(delta: float, m: int, clamp: bool = True) -> float:
+def chernoff_tail(delta: float, m: int) -> float:
     """Two-sided Chernoff bound 2*exp(-2*delta^2*m) on a frequency deviation.
 
-    The raw expression exceeds 1 for small m; by default it is clamped
-    to 1 for reporting.
+    The raw expression exceeds 1 for small m; it is clamped to 1.
     """
     if delta <= 0:
         raise ValueError("deviation must be positive")
     if m < 0:
         raise ValueError("trial count must be nonnegative")
-    raw = 2.0 * math.exp(-2.0 * delta * delta * m)
-    return min(1.0, raw) if clamp else raw
+    return min(1.0, 2.0 * math.exp(-2.0 * delta * delta * m))
 
 
 def kitaev_accuracy_threshold() -> float:
@@ -73,12 +71,16 @@ def chernoff_trials(coeff: float, c: float, eps: float) -> int:
     """Smallest m with c*exp(-m/coeff) <= eps: ceil(coeff * log(c / eps)).
 
     Every trial budget is this inversion; a union bound over n bits is the
-    factor n in c.  The log is log(c) - log(eps) where the quotient c / eps
-    overflows to inf, so every eps in (0, 1) has a count.
+    factor n in c, an int.  The log is log(c) - log(eps) where the quotient
+    c / eps overflows, to inf or (an int c past the largest double) by
+    raising, so every eps in (0, 1) and every c has a count.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("failure budget must lie in (0, 1)")
-    ratio = c / eps
+    try:
+        ratio = c / eps
+    except OverflowError:
+        ratio = math.inf
     return math.ceil(coeff * (math.log(ratio) if ratio != math.inf else math.log(c) - math.log(eps)))
 
 
@@ -109,7 +111,7 @@ def kitaev_total_budget(
     """
     if n < 1:
         raise ValueError("bit count must be positive")
-    per_bit = chernoff_trials(kitaev_coefficient(mode), 4.0 * n, eps_overall)
+    per_bit = chernoff_trials(kitaev_coefficient(mode), 4 * n, eps_overall)
     return per_bit, per_bit * n
 
 

@@ -234,6 +234,8 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     ]
     if args.format == "csv":
         _emit("csv", [(key, key, 0) for key, _ in fields], [tuple(value for _, value in fields)])
+        for note in result.warnings:
+            print(f"# warning: {note}")
     elif args.format == "table":
         for key, value in fields + [("warning", note) for note in result.warnings]:
             print(f"{key:<12}{value}")

@@ -12,9 +12,10 @@ A run keeps its decided bits in a small integer, x_i at bit
 one shift and one mask whatever the phase's width; ORACLE feedback
 shifts ``raw`` once per run into the same alignment.  A run keeps only
 its per-stage vote counts and that integer; its ``stage_log`` is a
-:class:`StageLog`, given the decided bits realigned with ``raw`` once
-per run, that builds the ``StageRecord``s when first read, so campaigns
-that never read the log build no residual ``Phase``.
+:class:`StageLog`, given that integer and the word the run read its
+corrections from, that builds the ``StageRecord``s when first read with
+the engine's shifts, so campaigns that never read the log build no
+residual ``Phase``.
 
 On a fixed eigenphase the engine has few distinct states: stage i sees
 only its last ``window`` decided bits.  So a run on the same
@@ -27,15 +28,13 @@ trials, in the same order, from its generator or source, so sharing
 changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
-:class:`~qpesim.sampling.RunDraws`: one generator call for a run of up
-to 2**13 trials, where one call per stage would cost about a
-microsecond each, and each row sorted so that a stage counts its votes
-below p by bisection instead of a numpy compare.  Each stage still
-counts with one :func:`~qpesim.sampling.run_trials` call on that
-source, and the counts and the generator's state after the run are
-those of per-stage draws.  A caller of many runs on one generator may
-pass one source for all of them, so that short runs share its blocks
-(``refsim.empirical_vs_exact`` does).
+:class:`~qpesim.sampling.RunDraws` (its block layout is described in
+:mod:`qpesim.sampling`).  Each stage counts with one
+:func:`~qpesim.sampling.run_trials` call on that source, and the counts
+and the generator's state after the run are those of per-stage draws.
+A caller of many runs on one generator may pass one source for all of
+them, so that short runs share its blocks (``refsim.empirical_vs_exact``
+does).
 """
 
 from __future__ import annotations
@@ -137,48 +136,52 @@ class EstimationResult(NamedTuple):
 class StageLog(Sequence[StageRecord]):
     """The ``StageRecord``s of one semiclassical run, built when first read.
 
-    A run keeps only its per-stage vote counts ``ones`` and its decided
-    integer (x_i at bit ``width - i``, aligned with ``raw``).  Each record
-    reads its bit from that integer and its correction window from it
-    (from ``raw`` under ORACLE feedback) with the engine's expressions;
-    the records are cached on first read.  The log behaves as the tuple
-    of those records: length, indexing, slicing, iteration, ``repr``,
-    ``==`` (in either operand order) and ``hash``.
+    A run keeps only its per-stage vote counts ``ones``, its decided
+    integer (x_i at bit ``n + guard + window - i``) and the word it read
+    its corrections from (that integer, or under ORACLE feedback ``raw``
+    in the same alignment).  Each record reads its bit and its correction
+    window with the engine's shifts and its residual with the engine's
+    expression; the records are cached on first read.  The log behaves as
+    the tuple of those records: length, indexing, slicing, iteration,
+    ``repr``, ``==`` (in either operand order) and ``hash``.
     """
 
-    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_decided", "_records")
+    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_decided", "_corrections", "_records")
 
     def __init__(
-        self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...], decided: int
+        self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...], decided: int,
+        corrections: int,
     ) -> None:
         self._raw = raw
         self._width = width
         self._cfg = cfg
         self._ones = ones
         self._decided = decided
+        self._corrections = corrections
         self._records: tuple[StageRecord, ...] | None = None
 
     def _built(self) -> tuple[StageRecord, ...]:
         if self._records is None:
             raw, width, cfg, decided = self._raw, self._width, self._cfg, self._decided
+            total_stages = cfg.n + cfg.guard
             window = cfg.window
             mask = (1 << width) - 1
             shift = width - 1 - window
             window_mask = (1 << window) - 1
-            source = raw if cfg.feedback is Feedback.ORACLE else decided
+            source = self._corrections
             self._records = tuple(
                 StageRecord(
                     i,
                     Phase(
                         ((raw << (i - 1))
-                         - (((source >> (width - i - window)) & window_mask) << shift)) & mask,
+                         - (((source >> (total_stages - i)) & window_mask) << shift)) & mask,
                         width,
                     ),
                     cfg.reps,
                     h,
-                    (decided >> (width - i)) & 1,
+                    (decided >> (total_stages + window - i)) & 1,
                 )
-                for i, h in zip(range(cfg.n + cfg.guard, 0, -1), self._ones)
+                for i, h in zip(range(total_stages, 0, -1), self._ones)
             )
         return self._records
 
@@ -238,10 +241,10 @@ def semiclassical_estimate(
     the decided integer's top n bits.
 
     A run keeps only its vote counts and its decided integer:
-    ``stage_log`` is a :class:`StageLog`, given that integer realigned
-    with ``raw`` (x_i at bit ``width - i``) once after the last stage,
-    that builds the ``StageRecord``s (residual ``Phase`` included) when it
-    is first read, so campaigns that never read the log build none.
+    ``stage_log`` is a :class:`StageLog`, given that integer and the word
+    the run read its corrections from, that builds the ``StageRecord``s
+    (residual ``Phase`` included) when it is first read, so campaigns that
+    never read the log build none.
 
     The probabilities and outcomes a run computes are memoised for one
     ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
@@ -312,7 +315,7 @@ def semiclassical_estimate(
     return EstimationResult(
         leaf[0],
         leaf[1],
-        StageLog(raw, width, cfg, tuple(ones), (decided >> window) << (width - total_stages)),
+        StageLog(raw, width, cfg, tuple(ones), decided, decided if oracle is None else oracle),
         reps * total_stages,
     )
 

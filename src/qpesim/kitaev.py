@@ -36,13 +36,10 @@ warnings, so ``kitaev_estimate`` reads the digits back with
 checks the walk against the digit-by-digit stitch on every snapped
 sequence of up to five stages.
 
-A run reads its 2n batteries as the rows of one ``sampling.RunDraws``,
-drawn in one generator call per 2**13 uniforms (one call at the default
-169 per battery) and counted by bisection on sorted rows, or, past 301
-per battery, by a numpy compare on unsorted ones; a battery of more
-than 4096 is drawn on its own.
-A run with an even ``KitaevConfig.reps`` can tie at (m1/2, m1/2) and
-raise ``indeterminate angle`` mid-run; before the error leaves
+A run reads its 2n batteries as the rows of one ``sampling.RunDraws``
+(its block layout is described in :mod:`qpesim.sampling`).  A run with
+an even ``KitaevConfig.reps`` can tie at (m1/2, m1/2) and raise
+``indeterminate angle`` mid-run; before the error leaves
 ``kitaev_estimate``, the source rewinds the generator over the rows it
 drew and did not read, so the generator stops where per-battery draws
 would have stopped it, as ``TestKitaevReplay`` requires.
@@ -129,7 +126,7 @@ def trials_per_basis(cfg: KitaevConfig) -> int:
     """
     if cfg.reps is not None:
         return cfg.reps
-    return chernoff_trials(kitaev_coefficient(cfg.mode) / 2.0, 4.0 * cfg.n, cfg.eps)
+    return chernoff_trials(kitaev_coefficient(cfg.mode) / 2.0, 4 * cfg.n, cfg.eps)
 
 
 def arctan_phase(s: float, t: float, width: int = DEFAULT_WIDTH) -> Phase:

@@ -134,13 +134,6 @@ class BitString:
             acc = (acc << 1) | b
         return acc
 
-    @property
-    def value(self) -> float:
-        """Value of 0.x_1 x_2 ... x_L as a float (exact when L <= 53)."""
-        if not self.bits:
-            return 0.0
-        return self.to_int() / (1 << len(self.bits))
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -249,22 +242,19 @@ def double_k(phi: Phase, k: int) -> Phase:
     return Phase((phi.raw << k) & mask, phi.width)
 
 
-def mod1_distance(a: Phase | float, b: Phase | float) -> float:
+def mod1_distance(a: Phase, b: Phase) -> float:
     """Distance on the unit circle, min(|a-b|, 1-|a-b|), in [0, 1/2].
 
-    Exact (integer arithmetic) when both operands are phases of equal
-    width; otherwise computed on float values.
+    Exact: integer arithmetic on two phases of one width, then one
+    division; phases of different widths raise ``ValueError``.
     """
-    if isinstance(a, Phase) and isinstance(b, Phase) and a.width == b.width:
-        span = 1 << a.width
-        d = (a.raw - b.raw) % span
-        if 2 * d > span:
-            d = span - d
-        return d / span
-    av = a.value if isinstance(a, Phase) else float(a)
-    bv = b.value if isinstance(b, Phase) else float(b)
-    d = abs(av - bv) % 1.0
-    return min(d, 1.0 - d)
+    if a.width != b.width:
+        raise ValueError(f"phases of widths {a.width} and {b.width}; the distance needs one width")
+    span = 1 << a.width
+    d = (a.raw - b.raw) % span
+    if 2 * d > span:
+        d = span - d
+    return d / span
 
 
 def hadamard_probs(phi_k: Phase, basis: TestBasis) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -40,14 +39,6 @@ MAX_DENSE_BITS = 14
 # Largest register the sampled comparison runs: its tally has 2**n entries.
 MAX_SAMPLED_BITS = 10
 _ZERO_OFFSET = 2.0**-60
-
-
-# A NamedTuple, built on every oracle call.
-class OutcomeDistribution(NamedTuple):
-    """Probabilities of the 2**n register outcomes."""
-
-    n: int
-    probs: np.ndarray
 
 
 @functools.cache
@@ -76,8 +67,10 @@ def _dirichlet(d: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
     return np.divide(out, d, out)
 
 
-def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> OutcomeDistribution:
+def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> np.ndarray:
     """Exact outcome distribution for an n-bit register at eigenphase phi.
+
+    The 2**n float64 probabilities, outcome y at index y.
 
     ``method`` selects the Dirichlet closed form ("closed") or the
     direct summation of the 2**n-term geometric series ("direct",
@@ -112,23 +105,26 @@ def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> Outcom
         np.square(probs, probs)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return OutcomeDistribution(n=n, probs=probs)
+    return probs
 
 
-def best_outcome_mass(dist: OutcomeDistribution, phi: Phase) -> float:
+def best_outcome_mass(probs: np.ndarray, phi: Phase) -> float:
     """Probability of landing on a neighbouring grid point of phi.
 
-    The mass of floor(2**n * phi) plus, when phi is strictly between
-    grid points, of the next outcome up (mod 2**n).
+    ``probs`` is an n-bit register's distribution (n is
+    ``len(probs).bit_length() - 1``): the mass of floor(2**n * phi) plus,
+    when phi is strictly between grid points, of the next outcome up
+    (mod 2**n).
     """
-    if phi.width < dist.n:
+    size = len(probs)
+    n = size.bit_length() - 1
+    if phi.width < n:
         raise ValueError("phase narrower than the register")
-    size = 1 << dist.n
-    shift = phi.width - dist.n
+    shift = phi.width - n
     below = phi.raw >> shift
     if phi.raw & ((1 << shift) - 1) == 0:
-        return float(dist.probs[below])
-    return float(dist.probs[below] + dist.probs[(below + 1) % size])
+        return float(probs[below])
+    return float(probs[below] + probs[(below + 1) % size])
 
 
 def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> float:
@@ -149,7 +145,7 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
     for _ in range(samples):
         # the estimate's top n bits are the outcome, without a loop over the bits
         counts[semiclassical_estimate(phi, cfg, draws).estimate.raw >> shift] += 1
-    exact = qpe_distribution_exact(phi, n).probs
+    exact = qpe_distribution_exact(phi, n)
     return 0.5 * float(np.abs(np.array(counts) / samples - exact).sum())
 
 
@@ -161,8 +157,8 @@ def self_checks(phi: Phase, n: int, samples: int, rng: Generator) -> list[tuple[
     """
     points = list(map(Phase, range(0, 1 << DEFAULT_WIDTH, 1 << (DEFAULT_WIDTH - 10))))
     row = (np.float64, 1 << n)
-    closed = np.fromiter((qpe_distribution_exact(p, n, "closed").probs for p in points), row, 1024)
-    closed -= np.fromiter((qpe_distribution_exact(p, n, "direct").probs for p in points), row, 1024)
+    closed = np.fromiter((qpe_distribution_exact(p, n, "closed") for p in points), row, 1024)
+    closed -= np.fromiter((qpe_distribution_exact(p, n, "direct") for p in points), row, 1024)
     worst = float(np.abs(closed, closed).max())
     tv = empirical_vs_exact(phi, n, samples, rng)
     # multinomial concentration: expected TV ~ 0.4*sqrt(2^n/samples)

@@ -44,7 +44,6 @@ PUBLISHED_TABLE = {
 class TestChernoffTail:
     def test_small_counts_clamp(self):
         assert chernoff_tail(0.1464, 0) == 1.0
-        assert chernoff_tail(0.1464, 0, clamp=False) == 2.0
 
     def test_threshold_hundred_trials(self):
         assert chernoff_tail(0.1464466, 100) == pytest.approx(0.0274285, abs=1e-6)

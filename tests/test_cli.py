@@ -112,6 +112,18 @@ class TestEstimate:
         assert [s["stage"] for s in stages] == [1, 2, 3]
         assert all({"sin_estimate", "cos_estimate", "beta"} <= set(s) for s in stages)
 
+    def test_csv_lists_the_stitch_warnings(self, capsys):
+        # the same run's table prints the warning on a "warning" line
+        argv = ["estimate", "--algo", "kitaev", "--bits", "8", "--reps", "1", "--seed", "0"]
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "algo,phase,bits,estimate,error,success,total_tests",
+            "kitaev,0.942937552883,1111000101,0.9423828125,0.000554740382879,1,16",
+            "# warning: stage 6: candidates equidistant from snapped estimate, chose 0",
+        ]
+        assert main(argv) == 0
+        assert "warning     stage 6: candidates equidistant" in capsys.readouterr().out
+
     def test_random_phase_is_seeded(self):
         a = run_cli("estimate", "--algo", "qft", "--phase", "random", "--bits", "4", "--seed", "9")
         b = run_cli("estimate", "--algo", "qft", "--phase", "random", "--bits", "4", "--seed", "9")
@@ -202,6 +214,20 @@ class TestExtremeBudgets:
         assert proc.returncode == 1
         assert "qpesim: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+    @pytest.mark.parametrize("algo", ["qft", "const", "kitaev"])
+    def test_bits_past_the_largest_double_named(self, command, algo, capsys):
+        # const's budget divides the bit count by eps, which overflows a double;
+        # the count is taken in logs and the bit budget then rejects the run
+        argv = [command, "--algo", algo, "--bits", "9" * 400]
+        if command == "montecarlo":
+            argv += ["--runs", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qpesim: error: configuration needs ")
+        assert captured.err.endswith(" significant bits; width 64 allows 60\n")
 
     def test_budgets_whose_quotient_overflows_are_counted(self, capsys):
         # c / eps overflows to inf below about c / 1.8e308; the counts are those of
@@ -932,8 +958,8 @@ def _check_output(args, output: str) -> None:
     if fmt == "json":
         json.loads(output)
     elif fmt == "csv":
-        # only a trailing summary line, behind a "# ", is not a row
-        if lines[-1].startswith("# "):
+        # only the trailing summary or warning lines, behind a "# ", are not rows
+        while lines[-1].startswith("# "):
             lines.pop()
         header, *rows = csv.reader(lines)
         assert all(len(row) == len(header) for row in rows), output

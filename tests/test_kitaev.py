@@ -279,6 +279,12 @@ class TestKitaevEstimate:
         # 4n/eps overflows to inf; m1 is ceil(23.5 ln(32/eps)) of the exact eps, 17396.88
         assert trials_per_basis(KitaevConfig(n=8, eps=1e-320)) == 17397
 
+    def test_bit_count_past_the_largest_double_still_counts(self):
+        # 4n is past the largest double; the counts are those of ln(4n) - ln(eps),
+        # 23.5 and 47 times 713.578
+        assert trials_per_basis(KitaevConfig(10**308)) == 16770
+        assert kitaev_total_budget(10**308, 0.05) == (33539, 33539 * 10**308)
+
     @pytest.mark.parametrize("phase", ["0.703125", "0.3", "0.9999"])
     def test_run_is_engine_plus_predicate(self, phase):
         phi = parse_phase(phase)

@@ -15,7 +15,6 @@ from qpesim.phase import Phase, parse_phase, phase_from_bits
 from qpesim.refsim import (
     MAX_DENSE_BITS,
     MAX_SAMPLED_BITS,
-    OutcomeDistribution,
     _ZERO_OFFSET,
     best_outcome_mass,
     empirical_vs_exact,
@@ -39,24 +38,24 @@ def midpoint(x: int, n: int) -> Phase:
 class TestDistribution:
     def test_exact_phase_is_point_mass(self):
         phi = phase_from_bits((1, 0, 1, 1), 64)
-        probs = qpe_distribution_exact(phi, 4).probs
+        probs = qpe_distribution_exact(phi, 4)
         assert probs[0b1011] == 1.0
         assert np.all(np.delete(probs, 0b1011) < 1e-12)
 
     def test_single_qubit_direct_sum(self):
-        probs = qpe_distribution_exact(parse_phase("0.25"), 1).probs
+        probs = qpe_distribution_exact(parse_phase("0.25"), 1)
         assert probs == pytest.approx([0.5, 0.5])
 
     def test_midpoint_two_point_mass(self):
         dist = qpe_distribution_exact(midpoint(17, 6), 6)
         four_over_pi_sq = 4.0 / math.pi**2
-        assert dist.probs[17] == pytest.approx(four_over_pi_sq, abs=1e-3)
-        assert dist.probs[18] == pytest.approx(four_over_pi_sq, abs=1e-3)
-        assert dist.probs[17] + dist.probs[18] >= EIGHT_OVER_PI_SQ
+        assert dist[17] == pytest.approx(four_over_pi_sq, abs=1e-3)
+        assert dist[18] == pytest.approx(four_over_pi_sq, abs=1e-3)
+        assert dist[17] + dist[18] >= EIGHT_OVER_PI_SQ
 
     def test_probabilities_normalized(self):
         for raw in (0, 123456789, (1 << 64) - 977):
-            probs = qpe_distribution_exact(Phase(raw), 7).probs
+            probs = qpe_distribution_exact(Phase(raw), 7)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(probs >= 0.0)
 
@@ -64,17 +63,17 @@ class TestDistribution:
         for n in range(1, 11):
             for j in range(0, 1024, 11):
                 phi = Phase(j << 54)
-                closed = qpe_distribution_exact(phi, n, "closed").probs
-                direct = qpe_distribution_exact(phi, n, "direct").probs
+                closed = qpe_distribution_exact(phi, n, "closed")
+                direct = qpe_distribution_exact(phi, n, "direct")
                 assert np.abs(closed - direct).max() <= 1e-10
 
     def test_shift_invariance(self):
         n = 5
         base = Phase(987654321 << 30)
-        reference = qpe_distribution_exact(base, n).probs
+        reference = qpe_distribution_exact(base, n)
         for j in (1, 7, 19):
             shifted = Phase((base.raw + (j << (64 - n))) % (1 << 64))
-            rolled = qpe_distribution_exact(shifted, n).probs
+            rolled = qpe_distribution_exact(shifted, n)
             assert np.abs(np.roll(reference, j) - rolled).max() <= 1e-10
 
     def test_distance_symmetry(self):
@@ -83,8 +82,8 @@ class TestDistribution:
         n = 6
         phi = Phase(123456789123 << 20)
         mirrored = Phase((-phi.raw) % (1 << 64))
-        forward = qpe_distribution_exact(phi, n).probs
-        backward = qpe_distribution_exact(mirrored, n).probs
+        forward = qpe_distribution_exact(phi, n)
+        backward = qpe_distribution_exact(mirrored, n)
         indices = (-np.arange(1 << n)) % (1 << n)
         assert np.abs(forward - backward[indices]).max() <= 1e-10
 
@@ -112,6 +111,12 @@ class TestBestOutcomeMass:
         mass = best_outcome_mass(qpe_distribution_exact(phi, 6), phi)
         assert mass == pytest.approx(0.810732249166, abs=1e-9)
 
+    def test_register_size_read_from_the_distribution(self):
+        probs = qpe_distribution_exact(Phase(11, 4), 4)
+        assert best_outcome_mass(probs, Phase(11, 4)) == 1.0
+        with pytest.raises(ValueError, match="phase narrower than the register"):
+            best_outcome_mass(probs, Phase(5, 3))
+
 
 class TestEmpirical:
     def test_exact_phase_zero_distance(self):
@@ -127,7 +132,7 @@ class TestEmpirical:
             empirical_vs_exact(Phase(0), MAX_SAMPLED_BITS + 1, 10, gen())
 
 
-def reference_distribution(phi: Phase, n: int, method: str = "closed") -> OutcomeDistribution:
+def reference_distribution(phi: Phase, n: int, method: str = "closed") -> np.ndarray:
     """The oracle as first written: a fresh index array and a mask on every call."""
     if not 1 <= n <= MAX_DENSE_BITS:
         raise ValueError(f"register size must lie in 1..{MAX_DENSE_BITS}")
@@ -144,7 +149,7 @@ def reference_distribution(phi: Phase, n: int, method: str = "closed") -> Outcom
         probs = np.abs(np.fft.fft(amplitudes)) ** 2
     else:
         raise ValueError(f"unknown method {method!r}")
-    return OutcomeDistribution(n=n, probs=probs)
+    return probs
 
 
 def reference_empirical(phi: Phase, n: int, samples: int, rng) -> float:
@@ -158,7 +163,7 @@ def reference_empirical(phi: Phase, n: int, samples: int, rng) -> float:
     counts = np.zeros(1 << n)
     for _ in range(samples):
         counts[semiclassical_estimate(phi, cfg, rng).estimate.raw >> shift] += 1
-    exact = reference_distribution(phi, n).probs
+    exact = reference_distribution(phi, n)
     return 0.5 * float(np.abs(counts / samples - exact).sum())
 
 
@@ -188,8 +193,8 @@ class TestOracleBitIdentity:
     def test_same_bytes_as_reference(self, n, method):
         for phi in oracle_phases(n):
             dist = qpe_distribution_exact(phi, n, method)
-            assert dist.n == n
-            assert dist.probs.tobytes() == reference_distribution(phi, n, method).probs.tobytes(), phi
+            assert len(dist) == 1 << n
+            assert dist.tobytes() == reference_distribution(phi, n, method).tobytes(), phi
 
     @pytest.mark.parametrize(
         "phi,n,samples,seed",
