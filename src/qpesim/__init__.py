@@ -36,6 +36,7 @@ from .estimators import (
     aqft_config,
     constant_precision_config,
     estimation_error,
+    full_qft_config,
     is_success,
     semiclassical_estimate,
 )

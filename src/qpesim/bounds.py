@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Success probabilities of the published per-bit trial table.
 TABLE_SUCCESS_PROBS = (0.50000, 0.68269, 0.95450, 0.99730, 0.99993)
@@ -36,8 +36,7 @@ class BudgetMode(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class TrialTableRow:
+class TrialTableRow(NamedTuple):
     """One row of the per-bit trial comparison table."""
 
     success_prob: float

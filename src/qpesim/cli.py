@@ -14,12 +14,12 @@ import argparse
 import csv
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import astuple
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_REPS = 10**7 - 1
 # Largest compare --points accepted, so the grid and its rows stay bounded.
 _MAX_POINTS = 10**6
-# Largest montecarlo --runs accepted, so the buffered rows stay bounded.
+# Largest montecarlo --runs accepted, so a campaign's work stays bounded.
 _MAX_RUNS = 10**6
 # Largest validate --samples accepted, so the sampling loop stays bounded.
 _MAX_SAMPLES = 10**7
@@ -179,15 +179,21 @@ _BUDGETS = [("kitaev_trials", "kitaev", 8), ("const_precision_trials", "const_pr
 
 
 def _emit(
-    fmt: str, columns: list[tuple[str, str, int]], rows: Iterable, summary: tuple | None = None
+    fmt: str, columns: list[tuple[str, str, int]], rows: Iterable,
+    summary: Callable[[], tuple[str, Any]] | None = None,
 ) -> None:
-    """Print rows as an aligned table, csv, or json objects.
+    """Print rows as an aligned table, csv, or json objects, each row as it comes.
 
     Each column is (json/csv name, table header, table width).  Floats go
-    through ``_fmt`` in the table and csv.  An optional summary comes as
-    (line, object): the line ends the table, and the csv behind a ``# ``;
-    json then prints ``{"rows": [...], "summary": object}``.
+    through ``_fmt`` in the table and csv.  An optional summary is called
+    after the last row and returns (line, object): the line ends the
+    table, and the csv behind a ``# ``; json then prints
+    ``{"rows": [...], "summary": object}``.
     """
+    # The first row comes before any output, so a source that fails at once
+    # (a config no run can use) prints nothing.
+    rows = iter(rows)
+    rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
     names = [name for name, _, _ in columns]
     if fmt == "json":
         # One row object at a time, so the document is never held whole; the
@@ -204,7 +210,7 @@ def _emit(
             opening = ","
         write("[]" if opening == "[" else f"\n{outer}]")
         if summary is not None:
-            write(',\n  "summary": ' + encode(summary[1]).replace("\n", "\n  ") + "\n}")
+            write(',\n  "summary": ' + encode(summary()[1]).replace("\n", "\n  ") + "\n}")
         write("\n")
         return
     cells = ([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
@@ -218,7 +224,8 @@ def _emit(
         for row in cells:
             print(line(*row))
     if summary is not None:
-        print(f"# {summary[0]}" if fmt == "csv" else summary[0])
+        text = summary()[0]
+        print(f"# {text}" if fmt == "csv" else text)
 
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -257,17 +264,23 @@ def _wilson_interval(successes: int, runs: int) -> tuple[float, float]:
 
 def cmd_montecarlo(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fixed_phi, cfg = _run_setup(parser, args)
-    rows = []
-    for index, rng in enumerate(run_generators(RngSeed(args.seed), args.runs)):
-        phi, result, ok = _single_run(fixed_phi, cfg, rng)
-        rows.append((index, _fmt(phi.value), int(ok), result.total_tests))
-    successes = sum(row[2] for row in rows)
-    rate = successes / args.runs
-    low, high = _wilson_interval(successes, args.runs)
-    line = f"summary: runs={args.runs} successes={successes} rate={_fmt(rate)} "
-    line += f"wilson95=[{_fmt(low)},{_fmt(high)}]"
-    totals = dict(runs=args.runs, successes=successes, success_rate=rate, wilson95=[low, high])
-    _emit(args.format, _RUNS, rows, (line, totals))
+    successes = 0
+
+    def rows() -> Iterator[tuple[int, str, int, int]]:
+        nonlocal successes
+        for index, rng in enumerate(run_generators(RngSeed(args.seed), args.runs)):
+            phi, result, ok = _single_run(fixed_phi, cfg, rng)
+            successes += ok
+            yield index, _fmt(phi.value), int(ok), result.total_tests
+
+    def summary() -> tuple[str, dict[str, Any]]:
+        rate = successes / args.runs
+        low, high = _wilson_interval(successes, args.runs)
+        line = f"summary: runs={args.runs} successes={successes} rate={_fmt(rate)} "
+        line += f"wilson95=[{_fmt(low)},{_fmt(high)}]"
+        return line, dict(runs=args.runs, successes=successes, success_rate=rate, wilson95=[low, high])
+
+    _emit(args.format, _RUNS, rows(), summary)
     return 0
 
 
@@ -280,8 +293,8 @@ def _float_list(parser: argparse.ArgumentParser, flag: str, text: str) -> list[f
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     probs = None if args.probs is None else _float_list(parser, "--probs", args.probs)
-    rows = [astuple(row) for row in trials_table(probs, _budget_mode(args))]
-    _emit(args.format, [("success_prob", "success_prob", 14), ("eps", "eps", 12), *_BUDGETS], rows)
+    columns = [("success_prob", "success_prob", 14), ("eps", "eps", 12), *_BUDGETS]
+    _emit(args.format, columns, trials_table(probs, _budget_mode(args)))
     return 0
 
 

@@ -10,22 +10,31 @@ first and dropped from the reported result.
 A run keeps its decided bits in a small integer, x_i at bit
 ``n + guard + window - i``, so a stage reads its correction window with
 one shift and one mask whatever the phase's width; ORACLE feedback
-shifts ``raw`` once per run into the same alignment.  A run keeps only
-its per-stage vote counts and that integer; its ``stage_log`` is a
-:class:`StageLog`, given that integer and the word the run read its
-corrections from, that builds the ``StageRecord``s when first read with
-the engine's shifts, so campaigns that never read the log build no
-residual ``Phase``.
+shifts ``raw`` once per run into the same alignment.
 
-On a fixed eigenphase the engine has few distinct states: stage i sees
-only its last ``window`` decided bits.  So a run on the same
-``(phi.raw, phi.width, cfg)`` key as the run before it shares what
-earlier runs on that key computed: each stage's outcome-one probability
-per window state, and each outcome's ``BitString`` and estimate
-``Phase``.  The memo holds one key, stores from that key's second run
-on, and holds at most 2**12 entries.  Every run still draws its own
-trials, in the same order, from its generator or source, so sharing
-changes no bit.
+Stage log.  A run keeps only its per-stage vote counts and that
+integer; its ``stage_log`` is a :class:`StageLog`, given that integer
+and the word the run read its corrections from (the integer, or under
+ORACLE feedback the shifted ``raw``).  The log builds the
+``StageRecord``s when first read, each bit and window read with the
+engine's shifts and each residual with the engine's expression, and
+caches them, so campaigns that never read the log build no residual
+``Phase``.  It acts as the tuple of those records for length, indexing,
+slicing, iteration, ``repr``, ``==`` (in either operand order) and
+``hash``.
+
+Stage memo.  On a fixed eigenphase the engine has few distinct states:
+stage i sees only its last ``window`` decided bits.  So the memo keeps,
+for the ``(phi.raw, phi.width, cfg)`` key of the last run, each stage's
+outcome-one probability per window state and each outcome's
+``BitString`` and estimate ``Phase``.  A run on another key replaces
+them with empty tables and stores nothing, so campaigns that never
+repeat a key (random phases) neither keep nor pay for stores; a run on
+the same key reads the tables and stores what it computes, up to 2**12
+entries in all, past which it computes without storing.  Every memoised
+value is frozen and a function of the key and the stage state alone,
+and every run still draws its own trials, in the same order, from its
+generator or source, so sharing changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws` (its block layout is described in
@@ -41,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -54,7 +63,7 @@ from .bounds import (
     const_precision_coefficient,
     round_up_to_odd,
 )
-from .phase import BitString, Phase, check_bit_budget, phase_from_bits
+from .phase import BitString, Phase, as_int, check_bit_budget, phase_from_bits
 from .sampling import RunDraws, run_trials
 
 
@@ -72,7 +81,11 @@ class Feedback(enum.Enum):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Engine parameters: bits to report, correction window, repetitions, guards."""
+    """Engine parameters: bits to report, correction window, repetitions, guards.
+
+    The counts may be any integer type ``operator.index`` reads; each is
+    stored as the int it equals.
+    """
 
     n: int
     window: int
@@ -81,6 +94,8 @@ class EstimatorConfig:
     feedback: Feedback = Feedback.ESTIMATED
 
     def __post_init__(self) -> None:
+        for name in ("n", "window", "reps", "guard"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"{name} must be an integer"))
         if self.n < 1:
             raise ValueError("bit count must be positive")
         if self.window < 0:
@@ -100,8 +115,7 @@ class EstimatorConfig:
         return result, is_success(result, phi, self.n)
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """Diagnostics for one stage: index, corrected residual, vote counts, decision."""
 
     stage: int
@@ -118,7 +132,6 @@ class StageRecord:
         }
 
 
-# A NamedTuple, built once by every run of every engine.
 class EstimationResult(NamedTuple):
     """Estimated bits with the per-stage log and the Hadamard-test count.
 
@@ -136,14 +149,7 @@ class EstimationResult(NamedTuple):
 class StageLog(Sequence[StageRecord]):
     """The ``StageRecord``s of one semiclassical run, built when first read.
 
-    A run keeps only its per-stage vote counts ``ones``, its decided
-    integer (x_i at bit ``n + guard + window - i``) and the word it read
-    its corrections from (that integer, or under ORACLE feedback ``raw``
-    in the same alignment).  Each record reads its bit and its correction
-    window with the engine's shifts and its residual with the engine's
-    expression; the records are cached on first read.  The log behaves as
-    the tuple of those records: length, indexing, slicing, iteration,
-    ``repr``, ``==`` (in either operand order) and ``hash``.
+    See "Stage log" in the module docstring.
     """
 
     __slots__ = ("_raw", "_width", "_cfg", "_ones", "_decided", "_corrections", "_records")
@@ -191,9 +197,6 @@ class StageLog(Sequence[StageRecord]):
     def __getitem__(self, index: Any) -> Any:
         return self._built()[index]
 
-    def __iter__(self) -> Iterator[StageRecord]:
-        return iter(self._built())
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StageLog):
             other = other._built()
@@ -240,23 +243,8 @@ def semiclassical_estimate(
     the replay tests check this engine against.  The reported integer is
     the decided integer's top n bits.
 
-    A run keeps only its vote counts and its decided integer:
-    ``stage_log`` is a :class:`StageLog`, given that integer and the word
-    the run read its corrections from, that builds the ``StageRecord``s
-    (residual ``Phase`` included) when it is first read, so campaigns that
-    never read the log build none.
-
-    The probabilities and outcomes a run computes are memoised for one
-    ``(phi.raw, phi.width, cfg)`` key: per (stage, window bits) the
-    probability float, and per reported integer the ``BitString`` and
-    estimate ``Phase``.  A run on another key than the last run's claims
-    the memo with empty tables and stores nothing, so campaigns that
-    never repeat a key (random phases) keep nothing alive; a run on the
-    same key reads the tables and stores into them, at most 2**12
-    entries in all.  A run past that cap computes what it lacks without
-    storing it.  Sharing is safe because every memoised value is frozen
-    and a function of the key and the stage state alone; the memo never
-    touches the generator.
+    ``stage_log`` and the memo are described under "Stage log" and
+    "Stage memo" in the module docstring.
 
     A generator ``rng`` is wrapped in one
     :class:`~qpesim.sampling.RunDraws` of ``n + guard`` rows of ``reps``

@@ -21,11 +21,6 @@ builds its eight candidate eighths once per width, maps
 so ties go to the lower eighth.  Those primitives are the reference that ``TestKitaevReplay``
 checks the estimator against, bit for bit and draw for draw.
 
-Each stage returns a ``StageEstimate``, a ``NamedTuple`` because every
-run builds one per stage; the semiclassical ``StageRecord`` stays a
-frozen dataclass, which ``StageLog`` builds only when the log is read.
-Both print, compare and hash by their fields, and neither takes assignment.
-
 The stitch walks on one integer holding the digits decided so far: each
 stage compares the two-digit low candidate with its snapped eighth
 modulo 8 and sets the new leading digit with a single shift.  The
@@ -67,6 +62,7 @@ from .phase import (
     DEFAULT_WIDTH,
     BitString,
     Phase,
+    as_int,
     check_bit_budget,
     mod1_distance,
     phase_from_float,
@@ -74,8 +70,6 @@ from .phase import (
 from .sampling import RunDraws, run_trials
 
 
-# A NamedTuple, built once per stage of every run; the semiclassical
-# StageRecord stays a dataclass because StageLog builds it only when read.
 class StageEstimate(NamedTuple):
     """Reconstruction of one stage phase from its two trial batteries."""
 
@@ -103,6 +97,9 @@ class KitaevConfig:
     mode: BudgetMode = BudgetMode.ROUNDED47
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "n must be an integer"))
+        if self.reps is not None:
+            object.__setattr__(self, "reps", as_int(self.reps, "reps must be an integer"))
         if self.n < 1:
             raise ValueError("bit count must be positive")
         if not 0.0 < self.eps < 1.0:

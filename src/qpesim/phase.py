@@ -11,15 +11,24 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 DEFAULT_WIDTH = 64
 
 # Low raw bits no configuration may consume; check_bit_budget enforces the margin.
 GUARD_BITS = 4
+
+
+def as_int(value: Any, message: str) -> int:
+    """The int ``operator.index`` reads ``value`` as (a numpy integer too), or ``ValueError(message)``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def check_bit_budget(needed: int, width: int) -> None:
@@ -63,12 +72,19 @@ class TestBasis(enum.Enum):
 
 @dataclass(frozen=True)
 class Phase:
-    """Fraction of a full turn, stored as ``raw / 2**width``."""
+    """Fraction of a full turn, stored as ``raw / 2**width``.
+
+    ``raw`` and ``width`` may be any integer type ``operator.index`` reads;
+    each is stored as the int it equals.
+    """
 
     raw: int
     width: int = DEFAULT_WIDTH
 
     def __post_init__(self) -> None:
+        if self.raw.__class__ is not int or self.width.__class__ is not int:
+            object.__setattr__(self, "raw", as_int(self.raw, "phase raw value must be an integer"))
+            object.__setattr__(self, "width", as_int(self.width, "phase width must be an integer"))
         if self.width < 1:
             raise ValueError("phase width must be positive")
         if not 0 <= self.raw < (1 << self.width):

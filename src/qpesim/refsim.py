@@ -10,16 +10,9 @@ Each register size's outcome indices and grid points y/2**n are built
 once and kept read-only.  The closed form masks out offsets below
 ``_ZERO_OFFSET`` (whose outcome has probability 1) only when phi lies
 that close to a grid point; otherwise it runs on the whole offset array,
-with the same expression and so the same floats.
-
-The kernel is buffered: a closed-form call fills two arrays, the offsets
-and their rounding, and the expression's ufuncs run in its order into
-them (``np.rint`` for ``round``, ``np.square`` for ``** 2``), the
-rounding's array becoming the probabilities; the direct sum divides and
-squares in place.  Each ufunc computes the float it computed unbuffered,
-so every probability keeps its bytes.  ``self_checks`` compares the
-closed and direct rows of its 1024 points as two stacked arrays with one
-max.
+with the same expression and so the same floats.  ``self_checks``
+compares the closed and direct rows of its 1024 points as two stacked
+arrays with one max.
 """
 
 from __future__ import annotations
@@ -52,19 +45,9 @@ def _outcomes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, grid
 
 
-def _dirichlet(d: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
-    """The closed form sin^2(size*pi*d) / (size^2 * sin^2(pi*d)) at nonzero offsets d, in ``out``.
-
-    The numerator is built in ``out`` and the denominator over ``d``.
-    """
-    np.multiply(size * np.pi, d, out)
-    np.sin(out, out)
-    np.square(out, out)
-    np.multiply(np.pi, d, d)
-    np.sin(d, d)
-    np.square(d, d)
-    np.multiply(size**2, d, d)
-    return np.divide(out, d, out)
+def _dirichlet(d: np.ndarray, size: int) -> np.ndarray:
+    """The closed form sin^2(size*pi*d) / (size^2 * sin^2(pi*d)) at nonzero offsets d."""
+    return np.sin(size * np.pi * d) ** 2 / (size**2 * np.sin(np.pi * d) ** 2)
 
 
 def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> np.ndarray:
@@ -84,25 +67,20 @@ def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> np.nda
     if method == "closed":
         value = phi.value
         offsets = value - grid
-        probs = np.rint(offsets)
-        offsets -= probs
+        offsets -= offsets.round()
         # An offset below _ZERO_OFFSET is computed exactly (Sterbenz), as is
         # scaled - round(scaled): size times the distance from value to the
         # nearest grid point.  So this tells, without a scan, whether any
         # offset needs the mask.
         scaled = value * size
         if abs(scaled - round(scaled)) >= _ZERO_OFFSET * size:
-            _dirichlet(offsets, size, probs)
+            probs = _dirichlet(offsets, size)
         else:
-            probs.fill(1.0)
+            probs = np.ones(size)
             spread = np.abs(offsets) >= _ZERO_OFFSET
-            offsets = offsets[spread]
-            probs[spread] = _dirichlet(offsets, size, np.empty_like(offsets))
+            probs[spread] = _dirichlet(offsets[spread], size)
     elif method == "direct":
-        amplitudes = np.exp(2j * np.pi * phi.value * index)
-        amplitudes /= size
-        probs = np.abs(np.fft.fft(amplitudes))
-        np.square(probs, probs)
+        probs = np.abs(np.fft.fft(np.exp(2j * np.pi * phi.value * index) / size)) ** 2
     else:
         raise ValueError(f"unknown method {method!r}")
     return probs

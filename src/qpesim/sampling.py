@@ -38,12 +38,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-import operator
 from typing import Any, Iterator
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
+
+from .phase import as_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
@@ -65,14 +66,8 @@ _ROW_MAX = 301
 
 _BAD_MASTER = "master seed must be a 64-bit unsigned integer"
 _BAD_STREAM = "stream must be a 64-bit unsigned integer"
-
-
-def _as_int(value: Any, message: str) -> int:
-    """The int ``operator.index`` reads ``value`` as, or ``ValueError(message)``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(message) from None
+_BAD_INDEX = "run index must be a 64-bit unsigned integer"
+_BAD_RUNS = "run count must be an integer in 0..2**64"
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,8 @@ class RngSeed:
 
     def __post_init__(self) -> None:
         if self.master.__class__ is not int or self.stream.__class__ is not int:
-            object.__setattr__(self, "master", _as_int(self.master, _BAD_MASTER))
-            object.__setattr__(self, "stream", _as_int(self.stream, _BAD_STREAM))
+            object.__setattr__(self, "master", as_int(self.master, _BAD_MASTER))
+            object.__setattr__(self, "stream", as_int(self.stream, _BAD_STREAM))
         if not 0 <= self.master <= _MASK64:
             raise ValueError(_BAD_MASTER)
         if not 0 <= self.stream <= _MASK64:
@@ -113,9 +108,10 @@ def _run_streams(seed: RngSeed, start: int, count: int) -> np.ndarray:
 
 def derive_run_seed(seed: RngSeed, index: int) -> RngSeed:
     """Deterministically mix (seed, index) into a fresh independent stream (a block of one run)."""
-    if index < 0:
-        raise ValueError("run index must be nonnegative")
-    return RngSeed(seed.master, int(_run_streams(seed, operator.index(index), 1)[0]))
+    index = as_int(index, _BAD_INDEX)
+    if not 0 <= index <= _MASK64:
+        raise ValueError(_BAD_INDEX)
+    return RngSeed(seed.master, int(_run_streams(seed, index, 1)[0]))
 
 
 def _hash_keys(hash_const: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +219,11 @@ def run_generators(seed: RngSeed, runs: int) -> Iterator[Generator]:
     Run i's is ``make_generator(derive_run_seed(seed, i))``'s.  Streams
     and state words are computed for ``_BLOCK`` runs at a time; each
     generator is built, by one :func:`make_generator` call, when asked for.
+    ``runs`` is checked when the first generator is asked for.
     """
+    runs = as_int(runs, _BAD_RUNS)
+    if not 0 <= runs <= 1 << 64:
+        raise ValueError(_BAD_RUNS)
     master = seed.master
     for start in range(0, runs, _BLOCK):
         streams = _run_streams(seed, start, min(_BLOCK, runs - start))

@@ -691,10 +691,31 @@ class TestJsonEmitter:
     )
     def test_matches_json_dumps(self, rows, summary, capsys):
         columns = [("index", "index", 6), ("phase", "phase", 10), ("value", "value", 8)]
-        _emit("json", columns, rows, summary)
+        _emit("json", columns, rows, None if summary is None else lambda: summary)
         objects = [dict(zip(("index", "phase", "value"), row)) for row in rows]
         payload = objects if summary is None else {"rows": objects, "summary": summary[1]}
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestMontecarloStreams:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_each_row_is_written_before_the_next_run(self, fmt, monkeypatch):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        seen = []
+        single_run = cli._single_run
+
+        def counted(*args):
+            seen.append(out.getvalue())
+            return single_run(*args)
+
+        monkeypatch.setattr(cli, "_single_run", counted)
+        assert main(["montecarlo", "--algo", "qft", "--bits", "4", "--runs", "4", "--format", fmt]) == 0
+        # run k starts with the rows of runs 0 .. k - 1 on stdout, and nothing
+        # is written before the first run
+        rows = [text.count('"run": ') if fmt == "json" else len(text.splitlines()) - 1 for text in seen]
+        assert seen[0] == "" and rows[1:] == [1, 2, 3]
+        assert "summary" not in seen[3]
 
 
 class TestCommandGolden:

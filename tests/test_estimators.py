@@ -64,6 +64,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(n=1, window=0, guard=-1)
 
+    def test_numpy_integers_are_the_ints_they_equal(self):
+        cfg = EstimatorConfig(n=np.int64(3), window=np.int64(2), reps=np.uint8(1), guard=np.int32(1))
+        assert cfg == EstimatorConfig(n=3, window=2, reps=1, guard=1)
+        assert all(type(v) is int for v in (cfg.n, cfg.window, cfg.reps, cfg.guard))
+        # a numpy raw runs as its int: no int64 overflow in the engine's shifts
+        assert semiclassical_estimate(Phase(np.int64(12345)), cfg, gen(4)) == semiclassical_estimate(
+            Phase(12345), EstimatorConfig(n=3, window=2, guard=1), gen(4)
+        )
+
+    @pytest.mark.parametrize("field", ["n", "window", "reps", "guard"])
+    @pytest.mark.parametrize("value", [3.0, "3", None])
+    def test_non_integers_rejected(self, field, value):
+        # rejected when the config is made, naming the field, not mid-run
+        given = {"n": 3, "window": 2, "reps": 1, "guard": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            EstimatorConfig(**given)
+
     def test_equal_configs_hash_alike(self):
         cfg = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)
         twin = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)

@@ -341,6 +341,20 @@ class TestKitaevEstimate:
         with pytest.raises(ValueError, match="needs 29 significant bits; width 32 allows 28"):
             kitaev_estimate(Phase(0, 32), KitaevConfig(n=27, eps=0.5), gen())
 
+    def test_numpy_integers_are_the_ints_they_equal(self):
+        cfg = KitaevConfig(n=np.int64(3), eps=0.5, reps=np.uint16(5))
+        assert cfg == KitaevConfig(n=3, eps=0.5, reps=5)
+        assert type(cfg.n) is int and type(cfg.reps) is int
+        assert kitaev_estimate(Phase(np.int64(12345)), cfg, gen(3)) == kitaev_estimate(
+            Phase(12345), KitaevConfig(n=3, eps=0.5, reps=5), gen(3)
+        )
+
+    @pytest.mark.parametrize("field", ["n", "reps"])
+    def test_non_integers_rejected(self, field):
+        given = {"n": 3, "eps": 0.5, field: 3.0}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            KitaevConfig(**given)
+
     def test_guarantee_on_an_estimate_of_another_width(self):
         phi = parse_phase("0.703125")
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5), gen(), exact=True)

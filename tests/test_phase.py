@@ -44,6 +44,20 @@ class TestPhaseType:
         with pytest.raises(ValueError):
             Phase(-1, 3)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_numpy_integers_are_the_ints_they_equal(self, kind):
+        phi = Phase(kind(123), kind(8))
+        assert phi == Phase(123, 8)
+        assert type(phi.raw) is int and type(phi.width) is int
+        assert double_k(Phase(np.int64(12345), 64), 60) == Phase(12345 << 60 & (1 << 64) - 1, 64)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1", None, np.float64(1.0)])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match="^phase raw value must be an integer$"):
+            Phase(value)
+        with pytest.raises(ValueError, match="^phase width must be an integer$"):
+            Phase(1, value)
+
     def test_bit_extraction(self):
         phi = phase_from_bits(bits("101101"))
         assert [phi.bit(i) for i in range(1, 8)] == [1, 0, 1, 1, 0, 1, 0]

@@ -357,6 +357,17 @@ class TestSeeds:
         state = make_generator(seed).bit_generator.state
         assert state == reference_generator(7, 200).bit_generator.state
 
+    @pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 3, 3.0, "3", None])
+    def test_run_index_is_a_64_bit_integer(self, index):
+        # 2**64 + i would alias run i
+        with pytest.raises(ValueError, match="^run index must be a 64-bit unsigned integer$"):
+            derive_run_seed(RngSeed(5), index)
+
+    @pytest.mark.parametrize("runs", [-3, 2**64 + 1, 3.0, None])
+    def test_run_count_is_checked(self, runs):
+        with pytest.raises(ValueError, match=r"^run count must be an integer in 0\.\.2\*\*64$"):
+            next(run_generators(RngSeed(5), runs))
+
 
 # Word edges of both halves of a seed pair: numpy reads 0 .. 2**32 - 1 as
 # one 32-bit word and 2**32 .. 2**64 - 1 as two.
@@ -444,7 +455,12 @@ class TestSeedingParity:
         assert streams.dtype == np.uint64
         want = [reference_run_stream(stream, index) for index in range(start, start + count)]
         assert streams.tolist() == want
-        assert [derive_run_seed(seed, index).stream for index in range(start, start + count)] == want
+        for index, expected in zip(range(start, start + count), want):
+            if index < 2**64:
+                assert derive_run_seed(seed, index).stream == expected
+            else:  # an index past 64 bits would alias index mod 2**64
+                with pytest.raises(ValueError, match="^run index must be a 64-bit unsigned integer$"):
+                    derive_run_seed(seed, index)
 
     def test_known_run_streams(self):
         # regression pins of derived streams, recorded from the Python-int derivation
