@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from typing import NamedTuple
+
+from .phase import as_member
 
 # Success probabilities of the published per-bit trial table.
 TABLE_SUCCESS_PROBS = (0.50000, 0.68269, 0.95450, 0.99730, 0.99993)
@@ -66,16 +69,24 @@ def kitaev_accuracy_threshold() -> float:
     return (2.0 - math.sqrt(2.0)) / 4.0
 
 
+def check_failure_budget(eps: float) -> None:
+    """Reject a failure budget that is not a real number in (0, 1)."""
+    if not isinstance(eps, numbers.Real):
+        raise ValueError("failure budget must be a real number")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("failure budget must lie in (0, 1)")
+
+
 def chernoff_trials(coeff: float, c: float, eps: float) -> int:
     """Smallest m with c*exp(-m/coeff) <= eps: ceil(coeff * log(c / eps)).
 
     Every trial budget is this inversion; a union bound over n bits is the
     factor n in c, an int.  The log is log(c) - log(eps) where the quotient
     c / eps overflows, to inf or (an int c past the largest double) by
-    raising, so every eps in (0, 1) and every c has a count.
+    raising, so every eps in (0, 1) and every c has a count.  An eps
+    that is not a real number in (0, 1) raises ``ValueError``.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("failure budget must lie in (0, 1)")
+    check_failure_budget(eps)
     try:
         ratio = c / eps
     except OverflowError:
@@ -84,8 +95,11 @@ def chernoff_trials(coeff: float, c: float, eps: float) -> int:
 
 
 def kitaev_coefficient(mode: BudgetMode = BudgetMode.ROUNDED47) -> float:
-    """Two-basis tests per bit per unit of log(4/eps): 47, or 2/(2*delta^2) = 46.627... (EXACT)."""
-    if mode is BudgetMode.ROUNDED47:
+    """Two-basis tests per bit per unit of log(4/eps): 47, or 2/(2*delta^2) = 46.627... (EXACT).
+
+    ``mode`` is a ``BudgetMode`` or its value.
+    """
+    if as_member(BudgetMode, mode, "mode") is BudgetMode.ROUNDED47:
         return 47.0
     delta = kitaev_accuracy_threshold()
     return 2.0 / (2.0 * delta * delta)

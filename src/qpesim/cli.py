@@ -35,7 +35,6 @@ from .bounds import (
 from .estimators import (
     EstimationResult,
     EstimatorConfig,
-    Feedback,
     aqft_config,
     constant_precision_config,
     estimation_error,
@@ -158,8 +157,6 @@ def _run_setup(
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     if "reps" in given:
         given["reps"] = round_up_to_odd(given["reps"])
-    if "feedback" in given:
-        given["feedback"] = Feedback(given["feedback"])
     if given.pop("exact_constants", False):
         given["mode"] = BudgetMode.EXACT
     return phi, build(args.bits, **given)
@@ -219,10 +216,12 @@ def _emit(
         writer.writerow(names)
         writer.writerows(cells)
     else:
-        line = " ".join(f"{{:>{width}}}" for _, _, width in columns).format
-        print(line(*(header for _, header, _ in columns)))
+        # One write per row: an unbuffered stdout makes one syscall of each.
+        line = (" ".join(f"{{:>{width}}}" for _, _, width in columns) + "\n").format
+        write = sys.stdout.write
+        write(line(*(header for _, header, _ in columns)))
         for row in cells:
-            print(line(*row))
+            write(line(*row))
     if summary is not None:
         text = summary()[0]
         print(f"# {text}" if fmt == "csv" else text)

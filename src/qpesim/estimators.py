@@ -63,7 +63,15 @@ from .bounds import (
     const_precision_coefficient,
     round_up_to_odd,
 )
-from .phase import BitString, Phase, as_int, check_bit_budget, phase_from_bits
+from .phase import (
+    MAX_LDEXP_WIDTH,
+    BitString,
+    Phase,
+    as_int,
+    as_member,
+    check_bit_budget,
+    phase_from_bits,
+)
 from .sampling import RunDraws, run_trials
 
 
@@ -84,7 +92,8 @@ class EstimatorConfig:
     """Engine parameters: bits to report, correction window, repetitions, guards.
 
     The counts may be any integer type ``operator.index`` reads; each is
-    stored as the int it equals.
+    stored as the int it equals.  ``feedback`` is a ``Feedback`` or its
+    value, stored as the member.
     """
 
     n: int
@@ -96,6 +105,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         for name in ("n", "window", "reps", "guard"):
             object.__setattr__(self, name, as_int(getattr(self, name), f"{name} must be an integer"))
+        object.__setattr__(self, "feedback", as_member(Feedback, self.feedback, "feedback"))
         if self.n < 1:
             raise ValueError("bit count must be positive")
         if self.window < 0:
@@ -287,7 +297,9 @@ def semiclassical_estimate(
         p = probs.get(state)
         if p is None:
             residual = ((raw << (i - 1)) - (window_bits << shift)) & mask
-            p = math.sin(math.pi * (residual / span)) ** 2
+            p = math.sin(
+                math.pi * (math.ldexp(residual, -width) if width <= MAX_LDEXP_WIDTH else residual / span)
+            ) ** 2
             if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
                 probs[state] = p
         h = run_trials(p, reps, rng)

@@ -15,11 +15,14 @@ and the arctangent is rounded to the phase grid exactly
 (``phase_from_float``, equal to ``phase_from_fraction``).  The
 estimates 1 - 2*f and 2*f - 1 carry no clamp: every frequency f lies in
 [0, 1] (monotone rounding keeps (1 - cos a)/2 and (1 + sin a)/2 there),
-so both lie in [-1, 1] exactly and a clamp would never act.  The snap
-builds its eight candidate eighths once per width, maps
-``mod1_distance`` over them and takes the index of the first minimum,
-so ties go to the lower eighth.  Those primitives are the reference that ``TestKitaevReplay``
-checks the estimator against, bit for bit and draw for draw.
+so both lie in [-1, 1] exactly and a clamp would never act.  The stage
+angle scales the shifted integer to a float as ``Phase.value`` does
+(``math.ldexp`` up to ``phase.MAX_LDEXP_WIDTH``).  The snap builds its
+eight candidate eighths once per width, calls ``mod1_distance`` on each
+in order and keeps a running minimum, replaced only on a strictly
+smaller distance, so ties go to the lower eighth.  Those primitives are
+the reference that ``TestKitaevReplay`` checks the estimator against,
+bit for bit and draw for draw.
 
 The stitch walks on one integer holding the digits decided so far: each
 stage compares the two-digit low candidate with its snapped eighth
@@ -51,18 +54,25 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, NamedTuple, Sequence
 
 from numpy.random import Generator
 
-from .bounds import DEFAULT_EPS, BudgetMode, chernoff_trials, kitaev_coefficient
+from .bounds import (
+    DEFAULT_EPS,
+    BudgetMode,
+    check_failure_budget,
+    chernoff_trials,
+    kitaev_coefficient,
+)
 from .estimators import EstimationResult, estimate_distance
 from .phase import (
     DEFAULT_WIDTH,
+    MAX_LDEXP_WIDTH,
     BitString,
     Phase,
     as_int,
+    as_member,
     check_bit_budget,
     mod1_distance,
     phase_from_float,
@@ -89,7 +99,10 @@ class StageEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class KitaevConfig:
-    """Target bit count, overall failure budget, and overrides (``reps``: per-basis trials)."""
+    """Target bit count, overall failure budget, and overrides (``reps``: per-basis trials).
+
+    ``mode`` is a ``BudgetMode`` or its value, stored as the member.
+    """
 
     n: int
     eps: float = DEFAULT_EPS
@@ -100,10 +113,10 @@ class KitaevConfig:
         object.__setattr__(self, "n", as_int(self.n, "n must be an integer"))
         if self.reps is not None:
             object.__setattr__(self, "reps", as_int(self.reps, "reps must be an integer"))
+        object.__setattr__(self, "mode", as_member(BudgetMode, self.mode, "mode"))
         if self.n < 1:
             raise ValueError("bit count must be positive")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("failure budget must lie in (0, 1)")
+        check_failure_budget(self.eps)
         if self.reps is not None and self.reps < 1:
             raise ValueError("per-basis trials must be positive")
 
@@ -150,10 +163,15 @@ def snap_beta(phi_tilde: Phase) -> int:
     """Index j of the closest eighth j/8 (mod 1); ties go to the lower index.
 
     The candidates are built once per width; all eight distances go
-    through ``mod1_distance``, and the first minimum wins.
+    through ``mod1_distance`` in order, and a running minimum replaced
+    only on a strictly smaller distance keeps the first minimum.
     """
-    distances = list(map(mod1_distance, repeat(phi_tilde, 8), _eighths(phi_tilde.width)))
-    return distances.index(min(distances))
+    best, best_distance = 0, 1.0
+    for j, eighth in enumerate(_eighths(phi_tilde.width)):
+        distance = mod1_distance(phi_tilde, eighth)
+        if distance < best_distance:
+            best, best_distance = j, distance
+    return best
 
 
 def estimate_stage(
@@ -172,7 +190,8 @@ def estimate_stage(
         raise ValueError("stage index must be positive")
     width = phi.width
     span = 1 << width
-    angle = math.tau * (((phi.raw << (k - 1)) & (span - 1)) / span)
+    stage = (phi.raw << (k - 1)) & (span - 1)
+    angle = math.tau * (math.ldexp(stage, -width) if width <= MAX_LDEXP_WIDTH else stage / span)
     p1_cos = (1.0 - math.cos(angle)) / 2.0
     p1_sin = (1.0 + math.sin(angle)) / 2.0
     if exact:

@@ -5,6 +5,14 @@ integer ``raw`` with value ``raw / 2**W``.  All structural operations
 (doubling, bit extraction, correction subtraction) are exact integer
 arithmetic modulo 2**W, so repeated doubling never accumulates rounding
 drift.  Only the trigonometric probability formulas go through floats.
+
+An integer ``x`` of W-bit units becomes the float ``x / 2**W`` as
+``math.ldexp(x, -W)`` when W is at most ``MAX_LDEXP_WIDTH``, and by the
+integer division otherwise.  Both give the same double: converting an
+int to a float rounds it correctly, and scaling by 2**-W is exact while
+the result stays normal, which any nonzero ``x`` keeps for W <= 1022.
+The scaling skips CPython's exact bigint division, which every operand
+past 2**53 (every 64-bit span) takes.
 """
 
 from __future__ import annotations
@@ -15,9 +23,13 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
 
 DEFAULT_WIDTH = 64
+
+# Widest W at which x / 2**W is computed as math.ldexp(x, -W): up to it no
+# nonzero x scales below 2**-1022, the least normal double, so the scaling is exact.
+MAX_LDEXP_WIDTH = 1022
 
 # Low raw bits no configuration may consume; check_bit_budget enforces the margin.
 GUARD_BITS = 4
@@ -29,6 +41,18 @@ def as_int(value: Any, message: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(message) from None
+
+
+_Member = TypeVar("_Member", bound=enum.Enum)
+
+
+def as_member(kind: type[_Member], value: Any, field: str) -> _Member:
+    """The member of ``kind`` that ``value`` is or has as its value, or ``ValueError`` naming ``field``."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError):  # TypeError: an unhashable value
+        choices = ", ".join(repr(member.value) for member in kind)
+        raise ValueError(f"{field} must be a {kind.__name__} or one of {choices}") from None
 
 
 def check_bit_budget(needed: int, width: int) -> None:
@@ -92,8 +116,12 @@ class Phase:
 
     @property
     def value(self) -> float:
-        """Phase as a float in [0, 1] (the top of the range only via float rounding)."""
-        return self.raw / (1 << self.width)
+        """Phase as a float in [0, 1] (the top of the range only via float rounding).
+
+        ``raw / 2**width``, scaled with ``math.ldexp`` up to ``MAX_LDEXP_WIDTH``.
+        """
+        width = self.width
+        return math.ldexp(self.raw, -width) if width <= MAX_LDEXP_WIDTH else self.raw / (1 << width)
 
     def bit(self, i: int) -> int:
         """The i-th fractional bit (1-indexed, MSB first); bits past the width are 0."""
@@ -262,15 +290,17 @@ def mod1_distance(a: Phase, b: Phase) -> float:
     """Distance on the unit circle, min(|a-b|, 1-|a-b|), in [0, 1/2].
 
     Exact: integer arithmetic on two phases of one width, then one
-    division; phases of different widths raise ``ValueError``.
+    scaling to a float, ``math.ldexp`` up to ``MAX_LDEXP_WIDTH`` and a
+    division past it; phases of different widths raise ``ValueError``.
     """
-    if a.width != b.width:
-        raise ValueError(f"phases of widths {a.width} and {b.width}; the distance needs one width")
-    span = 1 << a.width
+    width = a.width
+    if width != b.width:
+        raise ValueError(f"phases of widths {width} and {b.width}; the distance needs one width")
+    span = 1 << width
     d = (a.raw - b.raw) % span
     if 2 * d > span:
         d = span - d
-    return d / span
+    return math.ldexp(d, -width) if width <= MAX_LDEXP_WIDTH else d / span
 
 
 def hadamard_probs(phi_k: Phase, basis: TestBasis) -> tuple[float, float]:

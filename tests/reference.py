@@ -2,7 +2,8 @@
 
 ``qpesim.sampling.run_trials`` returns the count h of 1 outcomes in t
 trials; these are the one-draw and count-reading definitions it is
-tested against.  :class:`LoggedGenerator` records the draws a caller
+tested against.  :func:`first_minimum_snap` is the rule
+``qpesim.kitaev.snap_beta`` is tested against.  :class:`LoggedGenerator` records the draws a caller
 makes from a generator.  :func:`reference_seed_sequence` and
 :func:`reference_generator` key a run's generator the way the
 reproducibility contract states it, through numpy's own SeedSequence;
@@ -56,6 +57,18 @@ class LoggedGenerator:
     def random(self, size: int | None = None) -> Any:
         self.sizes.append(size)
         return self.rng.random(size)
+
+
+def first_minimum_snap(raw: int, width: int) -> int:
+    """Index j of the eighth j/8 nearest raw / 2**width on the circle, the lowest j among equals.
+
+    The distances are the floats the integer circle distances divide to,
+    so a near-tie the floats cannot tell apart also goes to the lower j.
+    """
+    span = 1 << width
+    folded = [(raw - (j << (width - 3))) % span for j in range(8)]
+    distances = [min(d, span - d) / span for d in folded]
+    return distances.index(min(distances))
 
 
 def reference_seed_sequence(master: int, stream: int) -> SeedSequence:

@@ -79,6 +79,14 @@ class TestKitaevBudget:
     def test_exact_constant(self):
         assert kitaev_trials_per_bit(0.5, BudgetMode.EXACT) == 97
 
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_coefficient_reads_a_mode_value(self, mode):
+        # "rounded47" once gave the exact coefficient
+        assert kitaev_coefficient(mode.value) == kitaev_coefficient(mode)
+        assert kitaev_trials_per_bit(0.05, mode.value) == kitaev_trials_per_bit(0.05, mode)
+        with pytest.raises(ValueError, match="^mode must be a BudgetMode"):
+            kitaev_coefficient("47")
+
     def test_coefficient(self):
         delta = kitaev_accuracy_threshold()
         assert kitaev_coefficient() == kitaev_coefficient(BudgetMode.ROUNDED47) == 47.0
@@ -192,6 +200,11 @@ class TestConstPrecisionBudget:
         for eps in (0.0, 1.0, -0.5, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
                 chernoff_trials(4.0, 1.0, eps)
+
+    @pytest.mark.parametrize("eps", ["0.05", None, 0.05j, [0.05]])
+    def test_budget_that_is_not_a_real_number_rejected(self, eps):
+        with pytest.raises(ValueError, match="^failure budget must be a real number$"):
+            chernoff_trials(4.0, 1.0, eps)
 
     def test_coefficient(self):
         assert const_precision_coefficient(3) == 4.0

@@ -607,6 +607,38 @@ class TestEstimateJsonGolden:
         assert digest == ESTIMATE_JSON_GOLDEN[phase, algo]
 
 
+# sha256 of the stdout of estimate --bits 16 --seed 0 --format json at the
+# raw@width phases below, recorded before phase integers were scaled to
+# floats with math.ldexp.  Every width here is past the ldexp limit, 1022
+# (1023 by one), so these pin the division path; the width-64 goldens above
+# pin the ldexp path.
+WIDE_PHASE_GOLDEN = {
+    ("5@2000", "kitaev"): "584aac63b6910c6efc7692b52699cdc1c1f68c6ceeb45726770c317cfb5cf7b1",
+    ("123456789@1023", "kitaev"): "9502e4a263716ad3c63137d421e8c65a6a752387b360d6a678648cdc84f15d7b",
+    ("98765@1024", "kitaev"): "38fb7309a3fba2b26c2c030ac08bc95877494af9ca9aec25888d14e80610fc27",
+    ("5@2000", "const"): "59c0b367a18056b50080dcf3b74c0c475577d0ac78b2ef9480d25e23f4ff92f9",
+    ("123456789@1023", "const"): "304eb5392ce8f47959fc027a714014670a8649f901adc209d088c4ea554d73fd",
+    ("98765@1024", "const"): "202d4b368e35547a6dce769c018344ef2c8dbd1e4c21fef1595f45fa87e1ff73",
+    ("5@2000", "qft"): "4529d2cb3fb35f4580cbe961046c93c4fdb17be1552a0e2fcbe7ce8bd4b2c9d2",
+    ("123456789@1023", "qft"): "bed9ce1c76e0e6089343f66684ee35f1920517fc9eb5575ed3303470da1732f4",
+    ("98765@1024", "qft"): "da77152c233e916cc809e01b4c15edd15550bcb7eae2c235573c6383e674f705",
+}
+
+
+class TestWidePhaseGolden:
+    @pytest.mark.parametrize(
+        "phase,algo", [pytest.param(*key, id=" ".join(key)) for key in WIDE_PHASE_GOLDEN]
+    )
+    def test_output_matches_golden(self, phase, algo, capsys):
+        argv = [
+            "estimate", "--bits", "16", "--phase", phase, "--seed", "0",
+            "--format", "json", "--algo", algo,
+        ]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == WIDE_PHASE_GOLDEN[phase, algo]
+
+
 # sha256 of the stdout of montecarlo --algo kitaev --bits 8 --runs 200 --seed 7
 # (random phases) in each format, recorded before the Kitaev stitch ran on
 # one integer and the random phase was drawn as one raw word.

@@ -81,6 +81,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             EstimatorConfig(**given)
 
+    @pytest.mark.parametrize("feedback", list(Feedback))
+    def test_feedback_value_is_its_member(self, feedback):
+        # "oracle" once ran with estimated feedback, the engine testing `is Feedback.ORACLE`
+        cfg = EstimatorConfig(n=3, window=2, feedback=feedback.value)
+        assert cfg.feedback is feedback and cfg == EstimatorConfig(n=3, window=2, feedback=feedback)
+        assert full_qft_config(3, feedback=feedback.value) == full_qft_config(3, feedback=feedback)
+        # the runs are the member's runs, which differ between the two members
+        phi = parse_phase("0.3")
+        runs = {
+            member: [semiclassical_estimate(phi, EstimatorConfig(n=3, window=2, feedback=member), gen(s))
+                     for s in range(20)]
+            for member in Feedback
+        }
+        assert [semiclassical_estimate(phi, cfg, gen(s)) for s in range(20)] == runs[feedback]
+        assert runs[Feedback.ORACLE] != runs[Feedback.ESTIMATED]
+
+    @pytest.mark.parametrize("feedback", ["ORACLE", True, None, ["oracle"]])
+    def test_other_feedback_rejected(self, feedback):
+        with pytest.raises(ValueError, match="^feedback must be a Feedback or one of 'estimated', 'oracle'$"):
+            EstimatorConfig(n=3, window=2, feedback=feedback)
+
     def test_equal_configs_hash_alike(self):
         cfg = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)
         twin = EstimatorConfig(n=4, window=2, reps=3, feedback=Feedback.ORACLE)
@@ -241,6 +262,11 @@ class TestConfigBuilders:
         for n, eps, reps in ((4, 2.0, None), (2, 1.5, 3)):
             with pytest.raises(ValueError, match=r"failure budget must lie in \(0, 1\)"):
                 constant_precision_config(n, 3, eps, reps=reps)
+
+    @pytest.mark.parametrize("eps", ["0.5", None, 0.5j])
+    def test_budget_that_is_not_a_real_number_rejected(self, eps):
+        with pytest.raises(ValueError, match="^failure budget must be a real number$"):
+            constant_precision_config(4, 3, eps)
 
     def test_override_still_checks_budget(self):
         # the budget's count is computed even when reps overrides it: eps / 4

@@ -38,7 +38,7 @@ from qpesim.phase import (
 )
 from qpesim.phase import TestBasis as Basis
 from qpesim.sampling import _CHUNK, _ROW_MAX, RngSeed, make_generator, run_trials
-from reference import LoggedGenerator, frequency_estimate
+from reference import LoggedGenerator, first_minimum_snap, frequency_estimate
 
 
 def gen(master=0, stream=0):
@@ -78,6 +78,28 @@ class TestSnapBeta:
         assert snap_beta(phase_from_float(3 / 16)) == 1
         # wraparound tie between 7/8 and 0 also picks the lower index
         assert snap_beta(phase_from_float(15 / 16)) == 0
+
+    @pytest.mark.parametrize("width", range(4, 13))
+    def test_first_minimum_on_every_phase(self, width):
+        for raw in range(1 << width):
+            assert snap_beta(Phase(raw, width)) == first_minimum_snap(raw, width), raw
+
+    @pytest.mark.parametrize("width", [4, 5, 8, 53, 64, 1022, 1023, 2000])
+    def test_odd_sixteenths_tie_to_the_lower_eighth(self, width):
+        # (2m + 1)/16 lies 1/16 from m/8 and from (m + 1)/8; 15/16 wraps to 0
+        for m in range(8):
+            raw = (2 * m + 1) << (width - 4)
+            assert snap_beta(Phase(raw, width)) == first_minimum_snap(raw, width) == (m if m < 7 else 0)
+
+    def test_near_ties_the_floats_cannot_separate_go_to_the_lower_eighth(self):
+        # 1/16 + 2**-64 is nearer 1/8, but both distances round to the float 1/16
+        raw = (1 << 60) + 1
+        assert snap_beta(Phase(raw, 64)) == first_minimum_snap(raw, 64) == 0
+
+    def test_first_minimum_on_random_64_bit_phases(self):
+        raws = np.random.Generator(np.random.PCG64(25)).integers(0, 2**64, 10_000, dtype=np.uint64)
+        for raw in map(int, raws):
+            assert snap_beta(Phase(raw, 64)) == first_minimum_snap(raw, 64), raw
 
     def test_snap_distance_exhaustive(self):
         # every 16-bit estimate lands within 1/16 of its snapped eighth
@@ -354,6 +376,23 @@ class TestKitaevEstimate:
         given = {"n": 3, "eps": 0.5, field: 3.0}
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             KitaevConfig(**given)
+
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_mode_value_is_its_member(self, mode):
+        # "rounded47" once ran with the exact coefficient: m1 167, not 169
+        cfg = KitaevConfig(n=16, mode=mode.value)
+        assert cfg.mode is mode and cfg == KitaevConfig(n=16, mode=mode)
+        assert trials_per_basis(cfg) == (169 if mode is BudgetMode.ROUNDED47 else 167)
+
+    @pytest.mark.parametrize("mode", ["ROUNDED47", 47, None, ["exact"]])
+    def test_other_modes_rejected(self, mode):
+        with pytest.raises(ValueError, match="^mode must be a BudgetMode or one of 'rounded47', 'exact'$"):
+            KitaevConfig(n=16, mode=mode)
+
+    @pytest.mark.parametrize("eps", ["0.5", None, 0.5j, [0.5]])
+    def test_budgets_that_are_not_real_numbers_rejected(self, eps):
+        with pytest.raises(ValueError, match="^failure budget must be a real number$"):
+            KitaevConfig(n=3, eps=eps)
 
     def test_guarantee_on_an_estimate_of_another_width(self):
         phi = parse_phase("0.703125")

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpesim.phase import (
+    MAX_LDEXP_WIDTH,
     MAX_LITERAL_WIDTH,
     BitString,
     Phase,
@@ -293,6 +295,50 @@ class TestMod1Distance:
         a, b, c = triple
         assert mod1_distance(a, b) == mod1_distance(b, a)
         assert mod1_distance(a, c) <= mod1_distance(a, b) + mod1_distance(b, c)
+
+
+@st.composite
+def scaled_raws(draw) -> tuple[int, int, int]:
+    """Two raws of one width, the widths weighted to 50-70 and to either side of the ldexp limit."""
+    width = draw(st.one_of(st.integers(50, 70), st.integers(1020, 1026), st.integers(1, MAX_LITERAL_WIDTH)))
+    top = (1 << width) - 1
+    # raws at least 2**width - 2**(width - 54) round up to 1.0 (the tie goes to even)
+    rounds_up = st.integers(max(0, top + 1 - (1 << max(width - 54, 0))), top)
+    raw = draw(st.one_of(st.just(0), st.just(1), st.just(top), st.integers(0, top), rounds_up))
+    return raw, draw(st.integers(0, top)), width
+
+
+class TestExactScaling:
+    """``Phase.value`` and ``mod1_distance`` are the int division raw / 2**width, bit for bit.
+
+    Up to ``MAX_LDEXP_WIDTH`` both scale with ``math.ldexp``, which matches
+    the division only because int-to-float conversion is correctly
+    rounded and a normal result scales exactly; past it they divide.
+    """
+
+    def test_limit_is_the_least_normal_exponent(self):
+        assert math.ldexp(1.0, -MAX_LDEXP_WIDTH) == sys.float_info.min
+        assert math.ldexp(1.0, -MAX_LDEXP_WIDTH - 1) < sys.float_info.min
+
+    def test_ldexp_past_the_limit_would_round_twice(self):
+        # a subnormal quotient: float(raw) rounds to 2**57 + 32, a tie ldexp rounds to even
+        raw, width = 2**57 + 33, 1080
+        assert math.ldexp(raw, -width) != raw / (1 << width)
+        assert Phase(raw, width).value == raw / (1 << width)
+
+    @settings(max_examples=500)
+    @given(scaled_raws())
+    @example((1, 0, 1023))
+    @example((2**57 + 33, 0, 1080))
+    @example(((1 << 64) - 1, 3, 64))
+    def test_value_and_distance_are_the_division(self, raws):
+        raw, other, width = raws
+        span = 1 << width
+        assert Phase(raw, width).value.hex() == (raw / span).hex()
+        d = (raw - other) % span
+        expected = min(d, span - d) / span
+        assert mod1_distance(Phase(raw, width), Phase(other, width)).hex() == expected.hex()
+        assert mod1_distance(Phase(raw, width), Phase(0, width)).hex() == (min(raw, span - raw) / span).hex()
 
 
 class TestHadamardProbs:
