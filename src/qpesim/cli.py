@@ -33,8 +33,8 @@ from .bounds import (
     trials_table,
 )
 from .estimators import (
-    EstimationResult,
     EstimatorConfig,
+    StageTable,
     aqft_config,
     constant_precision_config,
     estimation_error,
@@ -162,15 +162,6 @@ def _run_setup(
     return phi, build(args.bits, **given)
 
 
-def _single_run(
-    phi: Phase | None, cfg: KitaevConfig | EstimatorConfig, rng: np.random.Generator
-) -> tuple[Phase, EstimationResult, bool]:
-    """One estimator invocation on its own generator; returns (phase, result, success)."""
-    if phi is None:
-        phi = _random_phase(rng)
-    return (phi, *cfg.run(phi, rng))
-
-
 _RUNS = [("run", "run", 6), ("phi", "phi", 18), ("success", "success", 8), ("tests", "tests", 8)]
 _BUDGETS = [("kitaev_trials", "kitaev", 8), ("const_precision_trials", "const_precision", 16)]
 
@@ -228,7 +219,10 @@ def _emit(
 
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    phi, result, ok = _single_run(*_run_setup(parser, args), make_generator(RngSeed(args.seed)))
+    phi, cfg = _run_setup(parser, args)
+    rng = make_generator(RngSeed(args.seed))
+    phi = _random_phase(rng) if phi is None else phi
+    result, ok = cfg.run(phi, rng)
     fields = [
         ("algo", args.algo),
         ("phase", _fmt(phi.value)),
@@ -263,12 +257,16 @@ def _wilson_interval(successes: int, runs: int) -> tuple[float, float]:
 
 def cmd_montecarlo(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fixed_phi, cfg = _run_setup(parser, args)
+    run = cfg.run
+    if fixed_phi is not None and isinstance(cfg, EstimatorConfig):  # runs repeat one phase and config
+        run = functools.partial(run, table=StageTable(fixed_phi, cfg))
     successes = 0
 
     def rows() -> Iterator[tuple[int, str, int, int]]:
         nonlocal successes
         for index, rng in enumerate(run_generators(RngSeed(args.seed), args.runs)):
-            phi, result, ok = _single_run(fixed_phi, cfg, rng)
+            phi = _random_phase(rng) if fixed_phi is None else fixed_phi
+            result, ok = run(phi, rng)
             successes += ok
             yield index, _fmt(phi.value), int(ok), result.total_tests
 

@@ -23,18 +23,16 @@ caches them, so campaigns that never read the log build no residual
 slicing, iteration, ``repr``, ``==`` (in either operand order) and
 ``hash``.
 
-Stage memo.  On a fixed eigenphase the engine has few distinct states:
-stage i sees only its last ``window`` decided bits.  So the memo keeps,
-for the ``(phi.raw, phi.width, cfg)`` key of the last run, each stage's
+Stage table.  On a fixed eigenphase stage i sees only its last
+``window`` decided bits, so a caller that repeats one phase and config
+passes each run one :class:`StageTable`, which keeps each stage's
 outcome-one probability per window state and each outcome's
-``BitString`` and estimate ``Phase``.  A run on another key replaces
-them with empty tables and stores nothing, so campaigns that never
-repeat a key (random phases) neither keep nor pay for stores; a run on
-the same key reads the tables and stores what it computes, up to 2**12
-entries in all, past which it computes without storing.  Every memoised
-value is frozen and a function of the key and the stage state alone,
-and every run still draws its own trials, in the same order, from its
-generator or source, so sharing changes no bit.
+``BitString`` and estimate ``Phase``, up to ``StageTable.ENTRIES``
+entries, past which a run computes without storing.  A run refuses a
+table of another phase or config before it draws, and a run given none
+stores nothing.  Stored values are frozen and depend on the key and
+stage state alone, and every run still draws its own trials in order,
+so sharing changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws` (its block layout is described in
@@ -73,11 +71,6 @@ from .phase import (
     phase_from_bits,
 )
 from .sampling import RunDraws, run_trials
-
-
-# Entries the stage memo stores for its key, past which a run computes
-# without storing.
-_MEMO_ENTRIES = 1 << 12
 
 
 class Feedback(enum.Enum):
@@ -119,9 +112,11 @@ class EstimatorConfig:
             # the const coefficient checks
             const_precision_coefficient(self.window + 1)
 
-    def run(self, phi: Phase, rng: Generator) -> tuple[EstimationResult, bool]:
+    def run(
+        self, phi: Phase, rng: Generator, table: StageTable | None = None
+    ) -> tuple[EstimationResult, bool]:
         """One engine run and its :func:`is_success`, both looked up by name when called."""
-        result = semiclassical_estimate(phi, self, rng)
+        result = semiclassical_estimate(phi, self, rng, table)
         return result, is_success(result, phi, self.n)
 
 
@@ -219,16 +214,24 @@ class StageLog(Sequence[StageRecord]):
         return repr(self._built())
 
 
-# The stage memo: the last run's key (phi.raw, phi.width, cfg); per stage
-# and window bits, packed as ``i << window | window_bits``, the outcome-one
-# probability; and per reported integer its (BitString, estimate Phase).
-_memo: tuple[
-    tuple[int, int, EstimatorConfig] | None, dict[int, float], dict[int, tuple[BitString, Phase]]
-] = (None, {}, {})
+class StageTable:
+    """Stage probabilities and leaves of one phase and config, for runs that repeat them.
+
+    See "Stage table" in the module docstring.
+    """
+
+    ENTRIES = 1 << 12
+
+    def __init__(self, phi: Phase, cfg: EstimatorConfig) -> None:
+        self.key = (phi.raw, phi.width, cfg)
+        # per stage and window bits, packed as ``i << window | window_bits``, the
+        # outcome-one probability; per reported integer its (BitString, estimate Phase)
+        self.probs: dict[int, float] = {}
+        self.leaves: dict[int, tuple[BitString, Phase]] = {}
 
 
 def semiclassical_estimate(
-    phi: Phase, cfg: EstimatorConfig, rng: Generator | RunDraws
+    phi: Phase, cfg: EstimatorConfig, rng: Generator | RunDraws, table: StageTable | None = None
 ) -> EstimationResult:
     """Run the measurement-feedback engine against the eigenphase ``phi``.
 
@@ -246,15 +249,15 @@ def semiclassical_estimate(
     decided integer (ESTIMATED) or of ``raw`` shifted once per run into
     the same alignment (ORACLE).  The majority is ``ones > reps >> 1``,
     and the residual is ``(2**(i-1) * raw - bits * 2**(width-1-window))
-    mod 2**width``, computed only when the memo lacks the stage state.
+    mod 2**width``, computed only when the table lacks the stage state.
     That is the same integer and the same probability float as
     :func:`~qpesim.phase.double_k`, :func:`~qpesim.phase.corrected_residual`
     and :func:`~qpesim.phase.post_h_prob_one`, which stay the reference
     the replay tests check this engine against.  The reported integer is
     the decided integer's top n bits.
 
-    ``stage_log`` and the memo are described under "Stage log" and
-    "Stage memo" in the module docstring.
+    ``stage_log`` and ``table`` are described under "Stage log" and
+    "Stage table" in the module docstring.
 
     A generator ``rng`` is wrapped in one
     :class:`~qpesim.sampling.RunDraws` of ``n + guard`` rows of ``reps``
@@ -269,14 +272,10 @@ def semiclassical_estimate(
     total_stages = cfg.n + cfg.guard
     window = cfg.window
     check_bit_budget(total_stages + window, width)
-    global _memo
     raw = phi.raw
-    key = (raw, width, cfg)
-    memo_key, probs, leaves = _memo
-    store = key == memo_key
-    if not store:
-        probs, leaves = {}, {}
-        _memo = (key, probs, leaves)
+    if table is not None and table.key != (raw, width, cfg):
+        raise ValueError("stage table belongs to another phase or configuration")
+    probs, leaves = ({}, {}) if table is None else (table.probs, table.leaves)
     span = 1 << width
     mask = span - 1
     shift = width - 1 - window
@@ -300,7 +299,7 @@ def semiclassical_estimate(
             p = math.sin(
                 math.pi * (math.ldexp(residual, -width) if width <= MAX_LDEXP_WIDTH else residual / span)
             ) ** 2
-            if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
+            if table is not None and len(probs) + len(leaves) < table.ENTRIES:
                 probs[state] = p
         h = run_trials(p, reps, rng)
         ones.append(h)
@@ -310,7 +309,7 @@ def semiclassical_estimate(
     leaf = leaves.get(value)
     if leaf is None:
         leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
-        if store and len(probs) + len(leaves) < _MEMO_ENTRIES:
+        if table is not None and len(probs) + len(leaves) < table.ENTRIES:
             leaves[value] = leaf
     return EstimationResult(
         leaf[0],
@@ -324,6 +323,7 @@ def full_qft_config(
     n: int, reps: int = 1, guard: int = 0, feedback: Feedback = Feedback.ESTIMATED
 ) -> EstimatorConfig:
     """Textbook QPE: every decided bit feeds corrections (window n-1), one shot per bit."""
+    n = as_int(n, "n must be an integer")
     return EstimatorConfig(n=n, window=n - 1, reps=reps, guard=guard, feedback=feedback)
 
 
@@ -331,6 +331,8 @@ def aqft_config(
     n: int, degree: int, reps: int = 1, guard: int = 0, feedback: Feedback = Feedback.ESTIMATED
 ) -> EstimatorConfig:
     """Approximate-QFT QPE of the given degree: window degree-1, one shot per bit."""
+    n = as_int(n, "n must be an integer")
+    degree = as_int(degree, "degree must be an integer")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     return EstimatorConfig(n=n, window=degree - 1, reps=reps, guard=guard, feedback=feedback)
@@ -350,6 +352,8 @@ def constant_precision_config(
     bit count, the degree and the budget are checked, in that order, and
     the count computed, even when ``reps`` overrides it.
     """
+    n = as_int(n, "n must be an integer")
+    degree = as_int(degree, "degree must be an integer")
     if n < 1:
         raise ValueError("bit count must be positive")
     trials = round_up_to_odd(chernoff_trials(const_precision_coefficient(degree), n, eps))

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .bounds import qft_lower_bound
-from .estimators import full_qft_config, semiclassical_estimate
+from .estimators import StageTable, full_qft_config, semiclassical_estimate
 from .phase import DEFAULT_WIDTH, Phase
 from .sampling import RunDraws
 
@@ -90,11 +90,13 @@ def best_outcome_mass(probs: np.ndarray, phi: Phase) -> float:
     """Probability of landing on a neighbouring grid point of phi.
 
     ``probs`` is an n-bit register's distribution (n is
-    ``len(probs).bit_length() - 1``): the mass of floor(2**n * phi) plus,
-    when phi is strictly between grid points, of the next outcome up
-    (mod 2**n).
+    ``len(probs).bit_length() - 1``, so its length is a power of two, at
+    least 2): the mass of floor(2**n * phi) plus, when phi is strictly
+    between grid points, of the next outcome up (mod 2**n).
     """
     size = len(probs)
+    if size < 2 or size & (size - 1):
+        raise ValueError("outcome distribution length must be a power of two, at least 2")
     n = size.bit_length() - 1
     if phi.width < n:
         raise ValueError("phase narrower than the register")
@@ -108,7 +110,7 @@ def best_outcome_mass(probs: np.ndarray, phi: Phase) -> float:
 def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> float:
     """Total-variation distance between sampled full-QFT outcomes and the exact law.
 
-    The runs read their rows, in order, from one
+    The runs share one stage table and read their rows, in order, from one
     :class:`~qpesim.sampling.RunDraws` on ``rng``, and leave ``rng`` where
     runs drawing their own rows would.
     """
@@ -120,9 +122,10 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
     shift = phi.width - n
     counts = [0] * (1 << n)
     draws = RunDraws(rng, samples * n, 1)
+    table = StageTable(phi, cfg)
     for _ in range(samples):
         # the estimate's top n bits are the outcome, without a loop over the bits
-        counts[semiclassical_estimate(phi, cfg, draws).estimate.raw >> shift] += 1
+        counts[semiclassical_estimate(phi, cfg, draws, table).estimate.raw >> shift] += 1
     exact = qpe_distribution_exact(phi, n)
     return 0.5 * float(np.abs(np.array(counts) / samples - exact).sum())
 

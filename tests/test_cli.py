@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpesim import cli, estimators, kitaev, sampling
-from qpesim.cli import _ALGOS, _emit, _fmt, _random_phase, _run_setup, _single_run, build_parser, main
-from qpesim.estimators import constant_precision_config
+from qpesim.cli import _ALGOS, _emit, _fmt, _random_phase, _run_setup, build_parser, main
+from qpesim.estimators import EstimatorConfig, constant_precision_config
 from qpesim.kitaev import KitaevConfig, trials_per_basis
 from qpesim.sampling import RngSeed, make_generator
 from reference import reference_generator, reference_run_stream
@@ -522,9 +522,37 @@ class TestMonteCarlo:
         want = []
         for index in range(runs):
             rng = reference_generator(11, reference_run_stream(0, index))
-            phi, result, ok = _single_run(None, cfg, rng)
+            phi = _random_phase(rng)
+            result, ok = cfg.run(phi, rng)
             want.append([str(index), _fmt(phi.value), str(int(ok)), str(result.total_tests)])
         assert rows == want
+
+    @pytest.mark.parametrize(
+        "algo,phase,shared",
+        [
+            ("qft --bits 4", "0.703125", True),
+            ("aqft --bits 4 --degree 3", "0.3", True),
+            ("const --bits 4", "0.3", True),
+            ("qft --bits 4", "random", False),
+        ],
+    )
+    def test_fixed_phase_runs_share_one_stage_table(self, algo, phase, shared, monkeypatch, capsys):
+        tables = []
+        engine = estimators.semiclassical_estimate
+
+        def spy(phi, cfg, rng, table=None):
+            tables.append(table)
+            return engine(phi, cfg, rng, table)
+
+        monkeypatch.setattr(estimators, "semiclassical_estimate", spy)
+        assert main(["montecarlo", "--algo", *algo.split(), "--phase", phase, "--runs", "5"]) == 0
+        capsys.readouterr()
+        assert len(tables) == 5
+        if shared:
+            assert isinstance(tables[0], estimators.StageTable) and tables[0].leaves
+            assert all(table is tables[0] for table in tables)
+        else:
+            assert tables == [None] * 5
 
     def test_fixed_phase_runs(self):
         proc = run_cli(
@@ -735,13 +763,13 @@ class TestMontecarloStreams:
         out = io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         seen = []
-        single_run = cli._single_run
+        run = EstimatorConfig.run
 
         def counted(*args):
             seen.append(out.getvalue())
-            return single_run(*args)
+            return run(*args)
 
-        monkeypatch.setattr(cli, "_single_run", counted)
+        monkeypatch.setattr(EstimatorConfig, "run", counted)
         assert main(["montecarlo", "--algo", "qft", "--bits", "4", "--runs", "4", "--format", fmt]) == 0
         # run k starts with the rows of runs 0 .. k - 1 on stdout, and nothing
         # is written before the first run

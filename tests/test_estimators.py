@@ -16,6 +16,7 @@ from qpesim.estimators import (
     EstimatorConfig,
     Feedback,
     StageRecord,
+    StageTable,
     aqft_config,
     constant_precision_config,
     estimation_error,
@@ -268,6 +269,24 @@ class TestConfigBuilders:
         with pytest.raises(ValueError, match="^failure budget must be a real number$"):
             constant_precision_config(4, 3, eps)
 
+    @pytest.mark.parametrize(
+        "build,args,field",
+        [
+            (full_qft_config, ("5",), "n"),
+            (aqft_config, ("5", 3), "n"),
+            (aqft_config, (5, "3"), "degree"),
+            (aqft_config, (5, 3.0), "degree"),
+            (constant_precision_config, ("5",), "n"),
+            (constant_precision_config, (5, 3.5), "degree"),
+        ],
+        ids=["qft-n", "aqft-n", "aqft-degree-str", "aqft-degree-float", "const-n", "const-degree"],
+    )
+    def test_integers_read_first(self, build, args, field):
+        # each builder reads n and degree before it computes with them, so a
+        # bad value is named, not a TypeError or a message about the window
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            build(*args)
+
     def test_override_still_checks_budget(self):
         # the budget's count is computed even when reps overrides it: eps / 4
         # lies in (0, 1), but eps does not
@@ -444,14 +463,21 @@ def _fixed_phases(width: int, stages: int) -> tuple[Phase, Phase]:
     return Phase(raw & ~low, width), Phase(raw | 1 | (1 << (width - stages - 1)), width)
 
 
-def _assert_campaign_replays(phi: Phase, cfg: EstimatorConfig, seed: int, runs: int) -> None:
-    """``runs`` runs on one shared stream, as ``validate`` makes them."""
+def _assert_campaign_replays(
+    phi: Phase, cfg: EstimatorConfig, seed: int, runs: int, table: StageTable | None = None
+) -> StageTable:
+    """``runs`` runs on one shared stream and one stage table, as ``validate`` makes them.
+
+    The table is ``table``, or a new one; it is returned.
+    """
+    table = StageTable(phi, cfg) if table is None else table
     engine_rng, reference_rng = gen(seed), gen(seed)
     for run in range(runs):
-        assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
+        assert semiclassical_estimate(phi, cfg, engine_rng, table) == reference_estimate(
             phi, cfg, reference_rng
         ), f"run {run}, phi {phi}, cfg {cfg}"
     assert engine_rng.random() == reference_rng.random()
+    return table
 
 
 class TestFixedPhaseReplay:
@@ -469,39 +495,19 @@ class TestFixedPhaseReplay:
             _assert_campaign_replays(phi, cfg, n, REPLAY_SEEDS)
 
     def test_more_keys_than_the_memo_holds(self):
-        # 12 (phase, config) keys visited round robin, two runs per visit,
-        # so each key comes back after eleven others
+        # 12 (phase, config) keys, each with its own table, all alive at once:
+        # visited round robin, two runs per visit, so each table comes back
+        # after eleven others ran
         keys = []
         for k in range(6):
             phi = Phase(((2 * k + 1) << 58) + 12345, 64)
             keys.append((phi, EstimatorConfig(n=5, window=4)))
             keys.append((phi, EstimatorConfig(n=5, window=2, reps=3, guard=2)))
+        tables = [StageTable(phi, cfg) for phi, cfg in keys]
         for seed in range(40):
-            for phi, cfg in keys:
-                _assert_campaign_replays(phi, cfg, seed, 2)
-
-    def test_keys_take_turns(self):
-        # three keys, three runs per visit, visited A, B, C, C, B, A on one stream:
-        # C's second visit reads what its first stored, while B and A come back
-        # to a slot another key took and start over
-        phi = Phase(0x5DEECE66D2B7A3F1, 64)
-        keys = [
-            (phi, EstimatorConfig(n=6, window=5)),
-            (phi, EstimatorConfig(n=5, window=2, reps=3, guard=2, feedback=Feedback.ORACLE)),
-            (Phase(0xB400000000000000), EstimatorConfig(n=6, window=5)),
-        ]
-        for seed in range(40):
-            engine_rng, reference_rng = gen(seed), gen(seed)
-            tables = []
-            for phi, cfg in keys + keys[::-1]:
-                for run in range(3):
-                    assert semiclassical_estimate(phi, cfg, engine_rng) == reference_estimate(
-                        phi, cfg, reference_rng
-                    ), f"seed {seed}, run {run}, phi {phi}, cfg {cfg}"
-                tables.append(estimators._memo[1])
-            assert engine_rng.random() == reference_rng.random()
-            assert tables[3] is tables[2] and tables[3]
-            assert tables[4] is not tables[1] and tables[5] is not tables[0]
+            for (phi, cfg), table in zip(keys, tables):
+                _assert_campaign_replays(phi, cfg, seed, 2, table)
+        assert all(table.probs and table.leaves for table in tables)
 
     def test_long_full_qft_campaign(self):
         # full QFT at 14 bits off the grid decides its low bits at random:
@@ -548,8 +554,8 @@ class TestEngineProperty:
     @example((_WIDE, EstimatorConfig(n=6, window=5), 7))
     @example((_WIDE, EstimatorConfig(n=5, window=2, reps=3, guard=2, feedback=Feedback.ORACLE), 8))
     def test_engine_matches_reference(self, case):
-        # one run on a fresh generator, then three on one shared RunDraws (the
-        # stage memo, keyed on this phase and config, serves the later runs)
+        # one run on a fresh generator, then three on one shared RunDraws and
+        # one stage table (the first stores what the later runs read)
         phi, cfg, seed = case
         engine_rng, reference_rng = gen(seed), gen(seed)
         _assert_same_run(
@@ -558,9 +564,10 @@ class TestEngineProperty:
         assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
         shared, bare = gen(seed, 1), gen(seed, 1)
         source = RunDraws(shared, 3 * (cfg.n + cfg.guard), cfg.reps)
+        table = StageTable(phi, cfg)
         for _ in range(3):
             _assert_same_run(
-                semiclassical_estimate(phi, cfg, source), reference_estimate(phi, cfg, bare)
+                semiclassical_estimate(phi, cfg, source, table), reference_estimate(phi, cfg, bare)
             )
         assert shared.bit_generator.state == bare.bit_generator.state
 
@@ -638,17 +645,18 @@ class TestSharedSource:
         # 200 runs of 6 rows: blocks of 37 uniforms (37 one-uniform rows, 7 rows
         # of 5) put block boundaries inside runs, and one real block (8 192
         # one-uniform rows, 1 638 rows of 5) holds all 1 200; the phases take
-        # turns, so the stage memo's key changes between runs too
+        # turns, each reading and filling its own stage table
         if chunk is not None:
             monkeypatch.setattr(sampling, "_CHUNK", chunk)
         k = 200
         phases = [*_fixed_phases(64, cfg.n + cfg.guard), Phase(0x9E3779B97F4A7C15)]
+        tables = [StageTable(phi, cfg) for phi in phases]
         for seed in (0, 5):
             shared, bare = gen(seed), gen(seed)
             source = RunDraws(shared, k * (cfg.n + cfg.guard), cfg.reps)
             for run in range(k):
                 phi = phases[run % len(phases)]
-                got = semiclassical_estimate(phi, cfg, source)
+                got = semiclassical_estimate(phi, cfg, source, tables[run % len(phases)])
                 want = semiclassical_estimate(phi, cfg, bare)
                 assert (got.bits, got.estimate, got.stage_log, got.total_tests) == (
                     want.bits, want.estimate, want.stage_log, want.total_tests
@@ -720,25 +728,20 @@ class TestStageLog:
         assert all(a is b for a, b in zip(log, log))
 
 
-class TestStageMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        # an earlier test's key must not turn a first run here into a second
-        monkeypatch.setattr(estimators, "_memo", (None, {}, {}))
-
-    def test_runs_after_the_first_share_objects(self):
-        phi = parse_phase("0.101b")
+class TestStageTable:
+    def test_runs_on_one_table_share_objects(self):
+        phi, cfg = parse_phase("0.101b"), full_qft_config(3)
+        table = StageTable(phi, cfg)
         first, second, third = (
-            semiclassical_estimate(phi, full_qft_config(3), gen(seed)) for seed in range(3)
+            semiclassical_estimate(phi, cfg, gen(seed), table) for seed in range(3)
         )
         assert first == second == third
-        # the first run on a key stores nothing; the second stores what the third reuses
-        assert first.bits is not second.bits
-        assert second.bits is third.bits and second.estimate is third.estimate
+        # the first run stores what the later runs reuse
+        assert first.bits is second.bits is third.bits
+        assert first.estimate is second.estimate is third.estimate
         # a phase on the grid decides every run alike: one probability per stage
-        key, probs, leaves = estimators._memo
-        assert key == (phi.raw, phi.width, EstimatorConfig(n=3, window=2))
-        assert len(probs) == 3 and len(leaves) == 1
+        assert table.key == (phi.raw, phi.width, EstimatorConfig(n=3, window=2))
+        assert len(table.probs) == 3 and len(table.leaves) == 1
 
     @pytest.mark.parametrize(
         "other",
@@ -749,44 +752,57 @@ class TestStageMemo:
         ],
         ids=["raw", "width", "cfg"],
     )
-    def test_a_new_key_replaces_the_slot(self, other):
+    def test_a_table_of_another_key_is_refused(self, other):
+        # a table read for another phase or config would give wrong bits; the
+        # run raises before it draws, whether from a generator or a source
         phi, cfg = parse_phase("0.101b"), full_qft_config(3)
-        for seed in range(2):
-            semiclassical_estimate(phi, cfg, gen(seed))
-        _, probs, leaves = estimators._memo
-        assert len(probs) == 3 and len(leaves) == 1
-        # the new key claims the slot with empty tables, and its first run stores nothing
-        semiclassical_estimate(*other, gen(2))
-        key, other_probs, other_leaves = estimators._memo
-        assert key == (other[0].raw, other[0].width, other[1])
-        assert other_probs == {} and other_leaves == {} and other_probs is not probs
-        # coming back, the first key starts over: its next run is a first run again
-        third = semiclassical_estimate(phi, cfg, gen(3))
-        assert estimators._memo[1] == {} and estimators._memo[2] == {}
-        assert third.bits is not leaves[0b101][0]
+        table = StageTable(*other)
+        g = gen(2)
+        source = RunDraws(g, 2 * cfg.n, 1)
+        state = g.bit_generator.state
+        refused = "^stage table belongs to another phase or configuration$"
+        for rng in (g, source):
+            with pytest.raises(ValueError, match=refused):
+                semiclassical_estimate(phi, cfg, rng, table)
+            with pytest.raises(ValueError, match=refused):
+                cfg.run(phi, rng, table)
+        assert g.bit_generator.state == state
+        assert table.probs == {} and table.leaves == {}
+        # the source was left whole: both runs still read from it
+        for _ in range(2):
+            semiclassical_estimate(phi, cfg, source)
 
-    def test_campaign_past_the_entry_cap(self, monkeypatch):
-        # with room for 64 entries the slot fills within the first runs;
+    def test_campaign_past_the_bound(self, monkeypatch):
+        # with room for 64 entries the table fills within the first runs;
         # later runs compute what it lacks without storing it
-        monkeypatch.setattr(estimators, "_MEMO_ENTRIES", 64)
+        monkeypatch.setattr(StageTable, "ENTRIES", 64)
         phi = Phase(0x5DEECE66D2B7A3F1, 64)
         cfg = EstimatorConfig(n=14, window=13)
-        _assert_campaign_replays(phi, cfg, 1, 300)
-        key, probs, leaves = estimators._memo
-        assert key == (phi.raw, phi.width, cfg)
-        assert len(probs) + len(leaves) == 64
+        table = _assert_campaign_replays(phi, cfg, 1, 300)
+        assert table.key == (phi.raw, phi.width, cfg)
+        assert len(table.probs) + len(table.leaves) == 64
+
+    def test_runs_without_a_table_keep_nothing(self):
+        phi, cfg = parse_phase("0.101b"), full_qft_config(3)
+        stored = semiclassical_estimate(phi, cfg, gen(0), StageTable(phi, cfg))
+        first, second = (semiclassical_estimate(phi, cfg, gen(seed)) for seed in range(1, 3))
+        assert stored == first == second
+        # each run without a table builds its own leaf, after a run on a table too
+        assert len({id(stored.bits), id(first.bits), id(second.bits)}) == 3
+        assert len({id(stored.estimate), id(first.estimate), id(second.estimate)}) == 3
 
 
 class TestPinnedCallCounts:
     def test_const_run_draws_once_per_stage(self, count_calls):
         # perfbench/run.py pins n + guard run_trials calls per const run;
-        # repeated runs on one phase go through the stage memo and still draw
+        # repeated runs on one phase read a stage table and still draw
         trials = count_calls(estimators, "run_trials")
         cfg = constant_precision_config(16, 3, 0.05)
         assert cfg.n + cfg.guard == 18
         phases = [Phase(0xB400000000000000)] * 3 + [Phase(0x9E3779B97F4A7C15)] * 3
+        tables = {phi: StageTable(phi, cfg) for phi in phases}
         for run, phi in enumerate(phases, start=1):
-            semiclassical_estimate(phi, cfg, gen(run))
+            semiclassical_estimate(phi, cfg, gen(run), tables[phi])
             assert len(trials) == 18 * run
 
     def test_sampled_comparison_runs_once_per_sample(self, count_calls):

@@ -117,6 +117,12 @@ class TestBestOutcomeMass:
         with pytest.raises(ValueError, match="phase narrower than the register"):
             best_outcome_mass(probs, Phase(5, 3))
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 6, 12, 1023])
+    def test_length_not_a_register_rejected(self, size):
+        # a length-6 array read as a 2-bit register gave 1/3 at 0.3
+        with pytest.raises(ValueError, match="^outcome distribution length must be a power of two"):
+            best_outcome_mass(np.full(size, 1 / max(size, 1)), parse_phase("0.3"))
+
 
 class TestEmpirical:
     def test_exact_phase_zero_distance(self):
