@@ -53,7 +53,6 @@ from .kitaev import (
 )
 from .phase import (
     DEFAULT_WIDTH,
-    BitString,
     Phase,
     mod1_distance,
     parse_phase,

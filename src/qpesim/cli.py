@@ -84,7 +84,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", required=True, choices=_ALGOS, help="estimator to run")
     parser.add_argument(
         "--phase", default="random",
-        help="phase literal (binary 0.101b, decimal in [0,1), raw@width) or 'random'",
+        help="phase literal (binary 0.101b, raw@width, decimal or rational p/q in [0,1), "
+        "rounded) or 'random'",
     )
     parser.add_argument("--bits", type=int, required=True, help="bits to estimate")
     parser.add_argument(
@@ -226,7 +227,7 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     fields = [
         ("algo", args.algo),
         ("phase", _fmt(phi.value)),
-        ("bits", str(result.bits)),
+        ("bits", result.bits),
         ("estimate", _fmt(result.estimate.value)),
         ("error", _fmt(estimation_error(result, phi))),
         ("success", int(ok)),

@@ -26,8 +26,8 @@ slicing, iteration, ``repr``, ``==`` (in either operand order) and
 Stage table.  On a fixed eigenphase stage i sees only its last
 ``window`` decided bits, so a caller that repeats one phase and config
 passes each run one :class:`StageTable`, which keeps each stage's
-outcome-one probability per window state and each outcome's
-``BitString`` and estimate ``Phase``, up to ``StageTable.ENTRIES``
+outcome-one probability per window state and each outcome's digit
+string and estimate ``Phase``, up to ``StageTable.ENTRIES``
 entries, past which a run computes without storing.  A run refuses a
 table of another phase or config before it draws, and a run given none
 stores nothing.  Stored values are frozen and depend on the key and
@@ -63,7 +63,6 @@ from .bounds import (
 )
 from .phase import (
     MAX_LDEXP_WIDTH,
-    BitString,
     Phase,
     as_int,
     as_member,
@@ -140,11 +139,13 @@ class StageRecord(NamedTuple):
 class EstimationResult(NamedTuple):
     """Estimated bits with the per-stage log and the Hadamard-test count.
 
+    ``bits`` is the estimate's digit string x_1 x_2 ..., leading zeros kept.
+
     It prints, compares and hashes by its fields and takes no assignment;
     as a tuple it also compares equal to a plain tuple of the same fields.
     """
 
-    bits: BitString
+    bits: str
     estimate: Phase
     stage_log: Sequence[Any]
     total_tests: int
@@ -225,9 +226,9 @@ class StageTable:
     def __init__(self, phi: Phase, cfg: EstimatorConfig) -> None:
         self.key = (phi.raw, phi.width, cfg)
         # per stage and window bits, packed as ``i << window | window_bits``, the
-        # outcome-one probability; per reported integer its (BitString, estimate Phase)
+        # outcome-one probability; per reported integer its (digit string, estimate Phase)
         self.probs: dict[int, float] = {}
-        self.leaves: dict[int, tuple[BitString, Phase]] = {}
+        self.leaves: dict[int, tuple[str, Phase]] = {}
 
 
 def semiclassical_estimate(
@@ -308,7 +309,7 @@ def semiclassical_estimate(
     value = decided >> (window + cfg.guard)
     leaf = leaves.get(value)
     if leaf is None:
-        leaf = (BitString.from_int(value, cfg.n), Phase(value << (width - cfg.n), width))
+        leaf = (bin(value | 1 << cfg.n)[3:], Phase(value << (width - cfg.n), width))
         if table is not None and len(probs) + len(leaves) < table.ENTRIES:
             leaves[value] = leaf
     return EstimationResult(
@@ -382,6 +383,7 @@ def is_success(result: EstimationResult, phi: Phase, n: int) -> bool:
     Inclusive at the boundary: for phi between two n-bit grid points,
     both neighbours count as success.
     """
+    n = as_int(n, "n must be an integer")
     if not 1 <= n <= phi.width:
         raise ValueError("n must lie in 1..width")
     return estimate_distance(result, phi) <= 1 << (phi.width - n)

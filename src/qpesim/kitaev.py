@@ -26,13 +26,11 @@ bit for bit and draw for draw.
 
 The stitch walks on one integer holding the digits decided so far: each
 stage compares the two-digit low candidate with its snapped eighth
-modulo 8 and sets the new leading digit with a single shift.  The
-digits become a ``BitString`` through the byte table of
-``BitString.from_int``.  ``stitch_bits`` returns only that string and the
-warnings, so ``kitaev_estimate`` reads the digits back with
-``BitString.to_int`` to build the estimate ``Phase``.  ``TestStitchReplay``
-checks the walk against the digit-by-digit stitch on every snapped
-sequence of up to five stages.
+modulo 8 and sets the new leading digit with a single shift.
+``stitch_bits`` returns that integer and the warnings, and
+``kitaev_estimate`` builds both the digit string and the estimate
+``Phase`` from it.  ``TestStitchReplay`` checks the walk against the
+digit-by-digit stitch on every snapped sequence of up to five stages.
 
 A run reads its 2n batteries as the rows of one ``sampling.RunDraws``
 (its block layout is described in :mod:`qpesim.sampling`).  A run with
@@ -69,7 +67,6 @@ from .estimators import EstimationResult, estimate_distance
 from .phase import (
     DEFAULT_WIDTH,
     MAX_LDEXP_WIDTH,
-    BitString,
     Phase,
     as_int,
     as_member,
@@ -206,8 +203,11 @@ def estimate_stage(
     return StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, snap_beta(phi_tilde))
 
 
-def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
+def stitch_bits(betas: Sequence[int]) -> tuple[int, tuple[str, ...]]:
     """Back-substitute snapped stage values into an (n+2)-bit estimate.
+
+    Returns the estimate as the integer x_1 .. x_{n+2} (x_1 most
+    significant) and the warnings.
 
     The three digits of the last stage seed x_n x_{n+1} x_{n+2}; walking
     k = n-1 down to 1, x_k is the leading bit whose 3-bit candidate
@@ -236,7 +236,7 @@ def stitch_bits(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
             value |= 1 << (n + 2 - k)
         elif d == 2 or d == 6:
             flagged.append(f"stage {k}: candidates equidistant from snapped estimate, chose 0")
-    return BitString.from_int(value, n + 2), tuple(flagged)
+    return value, tuple(flagged)
 
 
 def kitaev_estimate(
@@ -256,10 +256,10 @@ def kitaev_estimate(
     except ValueError:
         source.rewind()
         raise
-    bits, warnings = stitch_bits([s.beta for s in stages])
+    value, warnings = stitch_bits([s.beta for s in stages])
     return EstimationResult(
-        bits=bits,
-        estimate=Phase(bits.to_int() << (width - cfg.n - 2), width),
+        bits=bin(value | 1 << (cfg.n + 2))[3:],
+        estimate=Phase(value << (width - cfg.n - 2), width),
         stage_log=tuple(stages),
         total_tests=2 * m1 * cfg.n,
         warnings=warnings,
@@ -272,6 +272,7 @@ def within_guarantee(result: EstimationResult, phi: Phase, n: int) -> bool:
     The error is ``estimators.estimate_distance``; the n + 2 bits must
     fit ``phi.width``.
     """
+    n = as_int(n, "n must be an integer")
     if not 1 <= n <= phi.width - 2:
         raise ValueError("n must lie in 1..width-2")
     return estimate_distance(result, phi) < 1 << (phi.width - (n + 2))

@@ -23,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, TypeVar
+from typing import Any, Iterable, TypeVar
 
 DEFAULT_WIDTH = 64
 
@@ -37,6 +37,8 @@ GUARD_BITS = 4
 
 def as_int(value: Any, message: str) -> int:
     """The int ``operator.index`` reads ``value`` as (a numpy integer too), or ``ValueError(message)``."""
+    if value.__class__ is int:
+        return value
     try:
         return operator.index(value)
     except TypeError:
@@ -60,15 +62,9 @@ def check_bit_budget(needed: int, width: int) -> None:
     if needed > width - GUARD_BITS:
         raise ValueError(
             f"configuration needs {needed} significant bits; "
-            f"width {width} allows {width - GUARD_BITS}"
+            f"width {width} allows {max(0, width - GUARD_BITS)}"
         )
 
-
-# The values a binary digit may take, as ints; BitString checks its digits against it.
-_DIGITS = frozenset((0, 1))
-
-# The eight binary digits of every byte value, most significant first.
-_BYTE_DIGITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) for byte in range(256))
 
 _BINARY_LITERAL = re.compile(r"^0\.([01]+)b$")
 _RAW_LITERAL = re.compile(r"^(\d+)@(\d+)$")
@@ -135,65 +131,13 @@ class Phase:
         return f"{self.raw}/2^{self.width}"
 
 
-@dataclass(frozen=True)
-class BitString:
-    """Binary-fraction digits x_1 x_2 ... x_L, most significant first."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        try:
-            valid = all(b.__class__ is int for b in self.bits) and _DIGITS.issuperset(self.bits)
-        except TypeError:  # digits that are not iterable are not bits either
-            valid = False
-        if not valid:
-            raise ValueError("bits must be 0 or 1")
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        if not re.fullmatch(r"[01]*", text):
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "BitString":
-        """The ``length``-digit binary expansion of ``value`` (x_1 most significant).
-
-        Digits are read a byte at a time from a 256-entry table of the
-        ints 0 and 1, so the result is built without the digit check.
-        """
-        if length < 0 or not 0 <= value < (1 << length):
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        digits: tuple[int, ...] = ()
-        for byte in value.to_bytes((length + 7) >> 3, "big"):
-            digits += _BYTE_DIGITS[byte]
-        string = object.__new__(cls)
-        object.__setattr__(string, "bits", digits[-length & 7 :])
-        return string
-
-    def to_int(self) -> int:
-        """The digits read as an unsigned integer (x_1 most significant)."""
-        acc = 0
-        for b in self.bits:
-            acc = (acc << 1) | b
-        return acc
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def phase_from_bits(bits: BitString | Iterable[int], width: int = DEFAULT_WIDTH) -> Phase:
-    """Exact conversion of a binary fraction to a Phase of the given width."""
-    seq = tuple(bits)
-    if len(seq) > width:
+def phase_from_bits(bits: str, width: int = DEFAULT_WIDTH) -> Phase:
+    """Exact conversion of a binary fraction's digits (a str, x_1 first) to a width-bit Phase."""
+    if not isinstance(bits, str) or bits.strip("01"):
+        raise ValueError("bits must be a string of 0s and 1s")
+    if len(bits) > width:
         raise ValueError("bit string longer than phase width")
-    return Phase(BitString(seq).to_int() << (width - len(seq)), width)
+    return Phase(int(bits or "0", 2) << (width - len(bits)), width)
 
 
 def phase_from_fraction(value: Fraction, width: int = DEFAULT_WIDTH) -> Phase:
@@ -238,18 +182,21 @@ def phase_from_float(value: float, width: int = DEFAULT_WIDTH) -> Phase:
 def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
     """Parse a phase literal.
 
-    Three forms are accepted: a binary fraction with ``b`` suffix
+    Four forms are accepted: a binary fraction with ``b`` suffix
     (``0.101101b``, exact), a raw/width pair (``181@8`` meaning 181/2**8,
     exact, width taken from the literal, at most ``MAX_LITERAL_WIDTH``),
-    or a decimal in [0, 1) of at most ``MAX_LITERAL_WIDTH`` digits and
+    a decimal in [0, 1) of at most ``MAX_LITERAL_WIDTH`` digits and
     an exponent of magnitude at most ``MAX_LITERAL_WIDTH`` (rounded to
-    the nearest width-bit value, ties to even).  A rejected
+    the nearest width-bit value, ties to even), or the rational form
+    ``p/q`` in [0, 1) (``1/3``), whose digits are counted and whose
+    value is rounded like a decimal's.  A decimal or rational may carry
+    a sign (``+0.5``); ``p/0`` is not a phase literal.  A rejected
     literal's message repeats at most its first 40 characters.
     """
     text = text.strip()
     m = _BINARY_LITERAL.match(text)
     if m:
-        return phase_from_bits(BitString.from_text(m.group(1)), width)
+        return phase_from_bits(m.group(1), width)
     m = _RAW_LITERAL.match(text)
     if m:
         # Counted before int(): a raw value of over MAX_LITERAL_WIDTH digits fits no width.

@@ -25,7 +25,7 @@ from numpy.random import Generator
 
 from .bounds import qft_lower_bound
 from .estimators import StageTable, full_qft_config, semiclassical_estimate
-from .phase import DEFAULT_WIDTH, Phase
+from .phase import DEFAULT_WIDTH, Phase, as_int
 from .sampling import RunDraws
 
 MAX_DENSE_BITS = 14
@@ -58,8 +58,9 @@ def qpe_distribution_exact(phi: Phase, n: int, method: str = "closed") -> np.nda
     ``method`` selects the Dirichlet closed form ("closed") or the
     direct summation of the 2**n-term geometric series ("direct",
     evaluated as a DFT); the two agree to 1e-10 and serve as mutual
-    checks.
+    checks.  ``n`` may be any integer type ``operator.index`` reads.
     """
+    n = as_int(n, "n must be an integer")
     if not 1 <= n <= MAX_DENSE_BITS:
         raise ValueError(f"register size must lie in 1..{MAX_DENSE_BITS}")
     size = 1 << n
@@ -112,8 +113,11 @@ def empirical_vs_exact(phi: Phase, n: int, samples: int, rng: Generator) -> floa
 
     The runs share one stage table and read their rows, in order, from one
     :class:`~qpesim.sampling.RunDraws` on ``rng``, and leave ``rng`` where
-    runs drawing their own rows would.
+    runs drawing their own rows would.  ``n`` and ``samples`` are read as
+    integers before anything is drawn.
     """
+    n = as_int(n, "n must be an integer")
+    samples = as_int(samples, "samples must be an integer")
     if n > MAX_SAMPLED_BITS:
         raise ValueError(f"empirical comparison capped at {MAX_SAMPLED_BITS} bits")
     if samples < 1:

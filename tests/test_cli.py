@@ -90,6 +90,13 @@ class TestEstimate:
             "qpesim: error: configuration needs 5 significant bits; width 8 allows 4\n"
         )
 
+    def test_bit_budget_allowance_is_never_negative(self, capsys):
+        # width 1 less the 4 guard bits leaves no bit to allow, not -3
+        assert main(["validate", "--phase", "1@1"]) == 1
+        assert capsys.readouterr().err == (
+            "qpesim: error: configuration needs 9 significant bits; width 1 allows 0\n"
+        )
+
     def test_json_has_stage_log(self):
         import json
 

@@ -26,7 +26,6 @@ from qpesim.estimators import (
 )
 from qpesim.phase import (
     GUARD_BITS,
-    BitString,
     Phase,
     corrected_residual,
     double_k,
@@ -121,7 +120,7 @@ class TestEngineSemantics:
         phi = parse_phase("0.101b")
         for seed in range(10):
             result = semiclassical_estimate(phi, full_qft_config(3), gen(seed))
-            assert str(result.bits) == "101"
+            assert result.bits == "101"
             assert estimation_error(result, phi) == 0.0
 
     def test_oracle_feedback_clears_known_tail(self):
@@ -233,7 +232,7 @@ class TestWrappers:
         # degenerate probabilities make the outcome certain, not skipped
         phi = parse_phase("0.101b")
         result = semiclassical_estimate(phi, constant_precision_config(3, 3, 0.05), gen(7))
-        assert str(result.bits) == "101"
+        assert result.bits == "101"
         assert all(record.ones in (0, record.trials) for record in result.stage_log)
 
 
@@ -312,9 +311,8 @@ class TestConfigBuilders:
 
 class TestSuccessPredicate:
     def _result_with_bits(self, text: str) -> EstimationResult:
-        bits = BitString.from_text(text)
         return EstimationResult(
-            bits=bits, estimate=phase_from_bits(bits), stage_log=(), total_tests=0
+            bits=text, estimate=phase_from_bits(text), stage_log=(), total_tests=0
         )
 
     def test_exact_match(self):
@@ -335,6 +333,12 @@ class TestSuccessPredicate:
         result = self._result_with_bits("0000")
         almost_one = Phase((1 << 64) - (1 << 60))
         assert is_success(result, almost_one, 4)
+
+    @pytest.mark.parametrize("n", [3.0, "3"], ids=repr)
+    def test_count_read_as_an_integer(self, n):
+        result = self._result_with_bits("0101")
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            is_success(result, phase_from_bits("0101"), n)
 
     def test_estimate_of_another_width_falls_back_to_bits(self):
         # an estimate narrower than phi cannot be compared raw to raw
@@ -362,14 +366,14 @@ class TestEstimationResultContract:
     def test_repr(self):
         result = semiclassical_estimate(Phase(181, 8), full_qft_config(2), gen(0))
         assert repr(result) == (
-            "EstimationResult(bits=BitString(bits=(1, 0)), estimate=Phase(raw=128, width=8), "
+            "EstimationResult(bits='10', estimate=Phase(raw=128, width=8), "
             "stage_log=(StageRecord(stage=2, residual=Phase(raw=106, width=8), trials=1, ones=0, "
             "bit=0), StageRecord(stage=1, residual=Phase(raw=181, width=8), trials=1, ones=1, "
             "bit=1)), total_tests=2, warnings=())"
         )
 
     def test_equal_results_hash_alike(self):
-        fields = (BitString((1, 0)), Phase(2, 2), (), 4, ("note",))
+        fields = ("10", Phase(2, 2), (), 4, ("note",))
         result, twin = EstimationResult(*fields), EstimationResult(*fields)
         assert result == twin
         assert hash(result) == hash(twin) == hash(fields)
@@ -378,12 +382,12 @@ class TestEstimationResultContract:
         assert result == fields  # a NamedTuple: equal to the plain tuple of its fields
 
     def test_fields_are_read_only(self):
-        result = EstimationResult(BitString((1,)), Phase(1, 1), (), 1)
+        result = EstimationResult("1", Phase(1, 1), (), 1)
         with pytest.raises(AttributeError):
             result.total_tests = 2  # type: ignore[misc]
 
     def test_keyword_construction_and_default_warnings(self):
-        bits = BitString.from_text("0101")
+        bits = "0101"
         result = EstimationResult(
             bits=bits, estimate=phase_from_bits(bits), stage_log=(), total_tests=0
         )
@@ -412,7 +416,7 @@ def reference_estimate(phi: Phase, cfg: EstimatorConfig, rng) -> EstimationResul
         ones = run_trials(post_h_prob_one(residual), cfg.reps, rng)
         decided[i] = majority(ones, cfg.reps)
         log.append(StageRecord(i, residual, cfg.reps, ones, decided[i]))
-    bits = BitString(tuple(decided[i] for i in range(1, cfg.n + 1)))
+    bits = "".join(str(decided[i]) for i in range(1, cfg.n + 1))
     return EstimationResult(
         bits=bits,
         estimate=phase_from_bits(bits, phi.width),

@@ -12,7 +12,7 @@ import pytest
 
 from qpesim import kitaev, sampling
 from qpesim.bounds import BudgetMode, kitaev_accuracy_threshold, kitaev_total_budget
-from qpesim.estimators import EstimationResult
+from qpesim.estimators import EstimationResult, StageTable, full_qft_config, semiclassical_estimate
 from qpesim.kitaev import (
     KitaevConfig,
     StageEstimate,
@@ -26,7 +26,6 @@ from qpesim.kitaev import (
 )
 from qpesim.phase import (
     GUARD_BITS,
-    BitString,
     Phase,
     double_k,
     hadamard_probs,
@@ -43,6 +42,11 @@ from reference import LoggedGenerator, first_minimum_snap, frequency_estimate
 
 def gen(master=0, stream=0):
     return make_generator(RngSeed(master, stream))
+
+
+def stitched_phase(value: int, n: int) -> Phase:
+    """The 64-bit phase of the n + 2 stitched digits ``value``."""
+    return Phase(value << (64 - n - 2))
 
 
 class TestArctanPhase:
@@ -178,30 +182,30 @@ class TestEstimateStage:
 
 class TestStitchBits:
     def test_base_case_single_stage(self):
-        bits, warnings = stitch_bits([5])
-        assert str(bits) == "101"
+        value, warnings = stitch_bits([5])
+        assert value == 0b101
         assert warnings == ()
 
     def test_exact_three_bit_phase(self):
         # phi = 0.101b: stage phases 0.625, 0.25, 0.5 snap to 5, 2, 4
-        bits, warnings = stitch_bits([5, 2, 4])
-        assert str(bits) == "10100"
+        value, warnings = stitch_bits([5, 2, 4])
+        assert value == 0b10100
         assert warnings == ()
-        assert mod1_distance(phase_from_bits(bits), parse_phase("0.101b")) == 0.0
+        assert mod1_distance(stitched_phase(value, 3), parse_phase("0.101b")) == 0.0
 
     def test_hand_computed_carry_case(self):
         # phi = 0.703125: exact snaps are 6, 3, 6 and stitching recovers
         # 0.10110b at distance 2^-6 < 2^-5
-        bits, warnings = stitch_bits([6, 3, 6])
-        assert str(bits) == "10110"
+        value, warnings = stitch_bits([6, 3, 6])
+        assert value == 0b10110
         assert warnings == ()
-        assert mod1_distance(phase_from_bits(bits), parse_phase("0.703125")) == 2.0**-6
+        assert mod1_distance(stitched_phase(value, 3), parse_phase("0.703125")) == 2.0**-6
 
     def test_equidistant_candidates_flagged(self):
         # beta_1 = 2 sits exactly 1/4 from both candidates built on 00;
         # unreachable from consistent snaps, resolved to 0 with a warning
-        bits, warnings = stitch_bits([2, 0])
-        assert str(bits) == "0000"
+        value, warnings = stitch_bits([2, 0])
+        assert value == 0
         assert len(warnings) == 1
 
     def test_rejects_bad_input(self):
@@ -221,13 +225,13 @@ class TestStitchBits:
             betas = [estimate_stage(phi, k, 1, g, exact=True).beta for k in range(1, n + 1)]
             base, base_warnings = stitch_bits(betas)
             assert base_warnings == ()
-            base_phase = phase_from_bits(base)
+            base_phase = stitched_phase(base, n)
             for k in range(1, n + 1):
                 for step in (-1, 1):
                     flipped = list(betas)
                     flipped[k - 1] = (flipped[k - 1] + step) % 8
                     alt, warnings = stitch_bits(flipped)
-                    moved = mod1_distance(phase_from_bits(alt), base_phase)
+                    moved = mod1_distance(stitched_phase(alt, n), base_phase)
                     if not warnings:
                         assert moved <= 2.0**-k + 1e-15
 
@@ -238,7 +242,7 @@ def _eighths_distance(a: int, b: int) -> int:
     return min(d, 8 - d)
 
 
-def reference_stitch(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
+def reference_stitch(betas: Sequence[int]) -> tuple[int, tuple[str, ...]]:
     """The stitch written out bit by bit: a dict of digits, two distances per stage."""
     n = len(betas)
     if n < 1:
@@ -260,7 +264,7 @@ def reference_stitch(betas: Sequence[int]) -> tuple[BitString, tuple[str, ...]]:
         else:
             bits[k] = 0
             flagged.append(f"stage {k}: candidates equidistant from snapped estimate, chose 0")
-    return BitString(tuple(bits[i] for i in range(1, n + 3))), tuple(flagged)
+    return int("".join(str(bits[i]) for i in range(1, n + 3)), 2), tuple(flagged)
 
 
 class TestStitchReplay:
@@ -272,6 +276,40 @@ class TestStitchReplay:
                 assert stitch_bits(betas) == reference_stitch(betas), betas
                 checked += 1
         assert checked == 37_448
+
+
+class TestDigitString:
+    def test_bits_are_the_reported_integer_s_digits(self, monkeypatch):
+        # every reported integer at n = 1..10: the digits keep their leading
+        # zeros (n + 2 of them for kitaev) and read back as the estimate
+        for n in range(1, 11):
+            cfg = full_qft_config(n)
+            for value in range(1 << n):
+                phi = Phase(value << (64 - n))
+                table = StageTable(phi, cfg)
+                for seed in range(2):  # the first run stores the leaf, the second reads it
+                    result = semiclassical_estimate(phi, cfg, gen(seed), table)
+                    assert result.bits == format(value, f"0{n}b")
+                    assert phase_from_bits(result.bits, phi.width) == result.estimate
+            for value in range(1 << (n + 2)):
+                phi = Phase(value << (64 - n - 2))
+                result = kitaev_estimate(phi, KitaevConfig(n, eps=0.5), gen(), exact=True)
+                assert result.bits == format(value, f"0{n + 2}b")
+                assert phase_from_bits(result.bits, phi.width) == result.estimate
+        # and the stitch of every beta sequence of up to five stages, flagged ones too
+        betas: tuple[int, ...] = ()
+        def stage(phi, k, *_, **__):
+            return StageEstimate(k, 0.0, 1.0, phi, betas[k - 1])
+
+        monkeypatch.setattr(kitaev, "estimate_stage", stage)
+        g = gen()
+        for n in range(1, 6):
+            cfg = KitaevConfig(n, eps=0.5)
+            for betas in itertools.product(range(8), repeat=n):
+                value, warnings = stitch_bits(betas)
+                result = kitaev_estimate(Phase(0), cfg, g)
+                assert (result.bits, result.warnings) == (format(value, f"0{n + 2}b"), warnings)
+                assert phase_from_bits(result.bits) == result.estimate
 
 
 class TestNoiselessPipeline:
@@ -286,9 +324,9 @@ class TestNoiselessPipeline:
                 assert (
                     mod1_distance(double_k(phi, stage.k - 1), Phase(stage.beta << 61)) < 1 / 8
                 )
-            bits, warnings = stitch_bits([s.beta for s in stages])
+            value, warnings = stitch_bits([s.beta for s in stages])
             assert warnings == ()
-            assert mod1_distance(phase_from_bits(bits), phi) < 2.0**-8
+            assert mod1_distance(stitched_phase(value, 6), phi) < 2.0**-8
 
 
 class TestKitaevEstimate:
@@ -343,13 +381,13 @@ class TestKitaevEstimate:
         phi = parse_phase("0.101b")
         cfg = KitaevConfig(n=3, eps=0.5, reps=10_000)
         result = kitaev_estimate(phi, cfg, gen(5))
-        assert str(result.bits) == "10100"
+        assert result.bits == "10100"
         assert within_guarantee(result, phi, 3)
 
     def test_noiseless_end_to_end(self):
         phi = parse_phase("0.703125")
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5), gen(), exact=True)
-        assert str(result.bits) == "10110"
+        assert result.bits == "10110"
         assert result.stage_log[1].beta == 3
 
     def test_config_validation(self):
@@ -413,6 +451,13 @@ class TestKitaevEstimate:
         with pytest.raises(ValueError, match=r"n must lie in 1\.\.width-2"):
             within_guarantee(result, phi, n)
 
+    @pytest.mark.parametrize("n", [3.0, "3"], ids=repr)
+    def test_guarantee_reads_n_as_an_integer(self, n):
+        phi = parse_phase("0.101b")
+        result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5), gen(), exact=True)
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            within_guarantee(result, phi, n)
+
     def test_guarantee_is_strict(self):
         phi = parse_phase("0.101b")
         result = kitaev_estimate(phi, KitaevConfig(n=3, eps=0.5, reps=2000), gen(6))
@@ -446,7 +491,8 @@ def reference_kitaev(phi: Phase, cfg: KitaevConfig, rng, exact: bool) -> Estimat
         ]
         beta = distances.index(min(distances))  # the first minimum: ties go to the lower index
         stages.append(StageEstimate(k, sin_estimate, cos_estimate, phi_tilde, beta))
-    bits, warnings = reference_stitch([s.beta for s in stages])
+    value, warnings = reference_stitch([s.beta for s in stages])
+    bits = format(value, f"0{cfg.n + 2}b")
     return EstimationResult(
         bits=bits,
         estimate=phase_from_bits(bits, phi.width),

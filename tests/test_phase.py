@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qpesim.phase import (
     MAX_LDEXP_WIDTH,
     MAX_LITERAL_WIDTH,
-    BitString,
     Phase,
     check_bit_budget,
     corrected_residual,
@@ -30,10 +29,6 @@ from qpesim.phase import (
 from qpesim.phase import TestBasis as Basis
 
 COS_PI_8_SQ = 0.8535533905932737  # cos^2(pi/8)
-
-
-def bits(text: str) -> BitString:
-    return BitString.from_text(text)
 
 
 class TestPhaseType:
@@ -61,7 +56,7 @@ class TestPhaseType:
             Phase(1, value)
 
     def test_bit_extraction(self):
-        phi = phase_from_bits(bits("101101"))
+        phi = phase_from_bits("101101")
         assert [phi.bit(i) for i in range(1, 8)] == [1, 0, 1, 1, 0, 1, 0]
 
     def test_two_bases_only(self):
@@ -70,24 +65,24 @@ class TestPhaseType:
 
 class TestFromBits:
     def test_simple_expansion(self):
-        assert phase_from_bits(bits("101")).value == 0.625
+        assert phase_from_bits("101").value == 0.625
 
     def test_empty_is_zero(self):
-        assert phase_from_bits(bits("")).value == 0.0
+        assert phase_from_bits("").value == 0.0
 
     def test_shift_into_width(self):
-        phi = phase_from_bits(bits("000111"), width=8)
+        phi = phase_from_bits("000111", width=8)
         assert phi.raw == 28
         assert phi.value == 0.109375
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="longer than phase width"):
-            phase_from_bits(bits("1010"), width=3)
+            phase_from_bits("1010", width=3)
 
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_round_trip_with_phase(self, raw):
         phi = Phase(raw, 20)
-        digits = BitString(tuple(phi.bit(i) for i in range(1, 21)))
+        digits = "".join(str(phi.bit(i)) for i in range(1, 21))
         assert phase_from_bits(digits, 20) == phi
 
 
@@ -97,6 +92,20 @@ class TestParsing:
 
     def test_decimal_literal(self):
         assert parse_phase("0.703125").value == 0.703125
+
+    @pytest.mark.parametrize(
+        "text,raw",
+        [("1/3", 6148914691236517205), ("2/3", 12297829382473034411), ("+1/3", 6148914691236517205)],
+    )
+    def test_rational_literal(self, text, raw):
+        # p/q is read as a Fraction and rounded like a decimal
+        assert parse_phase(text) == Phase(raw) == phase_from_fraction(Fraction(text))
+
+    def test_rational_literal_rejected(self):
+        with pytest.raises(ValueError, match="^not a phase literal: '1/0'$"):
+            parse_phase("1/0")
+        with pytest.raises(ValueError, match=r"^phase value must lie in \[0, 1\)$"):
+            parse_phase("3/2")
 
     def test_raw_width_literal(self):
         phi = parse_phase("181@8")
@@ -239,7 +248,7 @@ class TestFromFloat:
 
 class TestDoubleK:
     def test_single_shift(self):
-        assert double_k(phase_from_bits(bits("011")), 1).value == 0.75
+        assert double_k(phase_from_bits("011"), 1).value == 0.75
 
     def test_modular_wrap(self):
         assert double_k(phase_from_float(0.75), 1).value == 0.5
@@ -367,19 +376,19 @@ class TestHadamardProbs:
 
 class TestCorrectedResidual:
     def test_exact_tail_cancellation(self):
-        phi_k = phase_from_bits(bits("101"))
-        assert corrected_residual(phi_k, (0, 1)) == phase_from_bits(bits("100"))
+        phi_k = phase_from_bits("101")
+        assert corrected_residual(phi_k, (0, 1)) == phase_from_bits("100")
 
     def test_no_corrections(self):
         phi_k = parse_phase("0.3")
         assert corrected_residual(phi_k, ()) == phi_k
 
     def test_hand_subtraction(self):
-        phi_k = phase_from_bits(bits("110111"))
+        phi_k = phase_from_bits("110111")
         residual = corrected_residual(phi_k, (1, 0))
-        assert residual == phase_from_bits(bits("100111"))
+        assert residual == phase_from_bits("100111")
         # dropping the leading bit leaves 0.000111b < 1/8
-        assert mod1_distance(residual, phase_from_bits(bits("1"))) < 0.125
+        assert mod1_distance(residual, phase_from_bits("1")) < 0.125
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=6))
     def test_true_bits_clear_the_window(self, raw, window):
@@ -408,61 +417,37 @@ class TestPostHadamard:
 
 
 class TestBitString:
+    """The digit string an estimate carries as ``bits`` and ``phase_from_bits`` reads."""
+
+    NOT_BITS = "^bits must be a string of 0s and 1s$"
+
     def test_value_and_int(self):
-        s = bits("10110")
-        assert s.to_int() == 22
-        assert str(s) == "10110"
-        assert len(s) == 5
+        # x_1 is the most significant digit, and leading zeros count
+        assert phase_from_bits("10110", 5) == Phase(22, 5)
+        assert phase_from_bits("00110", 5) == Phase(6, 5)
 
     def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BitString((0, 2))
+        # int(text, 2) would read "0b1", "1_0" and " 10"
+        for text in ("102", "1.0", "0b1", "1_0", " 10", "10\n", "-1", b"10"):
+            with pytest.raises(ValueError, match=self.NOT_BITS):
+                phase_from_bits(text, 8)
 
     @pytest.mark.parametrize("digit", [True, 1.0, 1 + 0j, np.int64(1)], ids=repr)
     def test_rejects_values_equal_to_a_bit_that_are_not_ints(self, digit):
-        # str(BitString((True, False))) would read "TrueFalse"
-        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
-            BitString((0, digit))
+        # a tuple of digits is no string, whatever its digits equal
+        with pytest.raises(ValueError, match=self.NOT_BITS):
+            phase_from_bits((0, digit), 8)
 
     @pytest.mark.parametrize("digits", [[1.0, 0.0], [True, False], (1 + 0j,), [np.int64(1)]], ids=repr)
     def test_phase_from_bits_rejects_digits_that_are_not_ints(self, digits):
-        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+        with pytest.raises(ValueError, match=self.NOT_BITS):
             phase_from_bits(digits, 8)
-
-    def test_from_text_digits_are_ints(self):
-        assert all(type(b) is int for b in BitString.from_text("0110").bits)
-        with pytest.raises(ValueError, match="not a bit string"):
-            BitString.from_text("1.0")
-
-    def test_from_int_skips_the_digit_check(self, monkeypatch):
-        # the engines' strings come from from_int's table of ints, unchecked
-        def refuse(self):
-            raise AssertionError("digit check ran")
-
-        monkeypatch.setattr(BitString, "__post_init__", refuse)
-        assert BitString.from_int(0b1011, 6).bits == (0, 0, 1, 0, 1, 1)
-        assert str(BitString.from_int(5, 3)) == "101"
 
     @pytest.mark.parametrize("digit", [2, -1, 0.5, "1", None, [1]], ids=repr)
     def test_rejects_values_not_equal_to_a_bit(self, digit):
         # an unhashable digit is rejected with the same ValueError
-        with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            BitString((0, digit))
-
-    def test_from_int_matches_digit_loop(self):
-        cases = [(v, n) for n in range(13) for v in range(1 << n)]
-        cases += [((1 << 64) - 1, 64), (0x8000000000000001, 64), (0x5A5A5A5A5A5A5A5, 63)]
-        for value, length in cases:
-            digits = tuple((value >> (length - j)) & 1 for j in range(1, length + 1))
-            assert BitString.from_int(value, length) == BitString(digits)
-
-    def test_from_int_rejects_values_too_wide(self):
-        with pytest.raises(ValueError):
-            BitString.from_int(8, 3)
-        with pytest.raises(ValueError):
-            BitString.from_int(-1, 3)
-        with pytest.raises(ValueError):
-            BitString.from_int(0, -1)
+        with pytest.raises(ValueError, match=self.NOT_BITS):
+            phase_from_bits((0, digit), 8)
 
 
 class TestBitBudget:
@@ -473,3 +458,8 @@ class TestBitBudget:
             check_bit_budget(61, 64)
         with pytest.raises(ValueError, match="^configuration needs 5 significant bits; width 8 allows 4$"):
             check_bit_budget(5, 8)
+
+    @pytest.mark.parametrize("width,allows", [(1, 0), (3, 0), (4, 0), (5, 1)])
+    def test_allowance_is_never_negative(self, width, allows):
+        with pytest.raises(ValueError, match=f"^configuration needs 9 significant bits; width {width} allows {allows}$"):
+            check_bit_budget(9, width)

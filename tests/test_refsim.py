@@ -37,7 +37,7 @@ def midpoint(x: int, n: int) -> Phase:
 
 class TestDistribution:
     def test_exact_phase_is_point_mass(self):
-        phi = phase_from_bits((1, 0, 1, 1), 64)
+        phi = phase_from_bits("1011", 64)
         probs = qpe_distribution_exact(phi, 4)
         assert probs[0b1011] == 1.0
         assert np.all(np.delete(probs, 0b1011) < 1e-12)
@@ -93,10 +93,17 @@ class TestDistribution:
         with pytest.raises(ValueError):
             qpe_distribution_exact(Phase(0), 4, "quadrature")
 
+    @pytest.mark.parametrize("n", [3.0, "3"], ids=repr)
+    def test_register_size_read_as_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            qpe_distribution_exact(Phase(5, 8), n)
+        want = qpe_distribution_exact(Phase(5, 8), 3)
+        assert np.array_equal(qpe_distribution_exact(Phase(5, 8), np.int64(3)), want)
+
 
 class TestBestOutcomeMass:
     def test_exact_phase(self):
-        phi = phase_from_bits((1, 1, 0), 64)
+        phi = phase_from_bits("110", 64)
         assert best_outcome_mass(qpe_distribution_exact(phi, 3), phi) == 1.0
 
     def test_coarse_grid_floor(self):
@@ -126,7 +133,7 @@ class TestBestOutcomeMass:
 
 class TestEmpirical:
     def test_exact_phase_zero_distance(self):
-        phi = phase_from_bits((0, 1, 1), 64)
+        phi = phase_from_bits("011", 64)
         assert empirical_vs_exact(phi, 3, 500, gen(1)) < 1e-12
 
     def test_midpoint_concentration(self):
@@ -136,6 +143,13 @@ class TestEmpirical:
     def test_size_cap(self):
         with pytest.raises(ValueError, match=f"capped at {MAX_SAMPLED_BITS} bits"):
             empirical_vs_exact(Phase(0), MAX_SAMPLED_BITS + 1, 10, gen())
+
+    def test_sample_count_read_as_an_integer_before_drawing(self):
+        rng = gen(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^samples must be an integer$"):
+            empirical_vs_exact(Phase(5, 8), 3, 10.0, rng)
+        assert rng.bit_generator.state == state
 
 
 def reference_distribution(phi: Phase, n: int, method: str = "closed") -> np.ndarray:
