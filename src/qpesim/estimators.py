@@ -25,14 +25,23 @@ slicing, iteration, ``repr``, ``==`` (in either operand order) and
 
 Stage table.  On a fixed eigenphase stage i sees only its last
 ``window`` decided bits, so a caller that repeats one phase and config
-passes each run one :class:`StageTable`, which keeps each stage's
-outcome-one probability per window state and each outcome's digit
-string and estimate ``Phase``, up to ``StageTable.ENTRIES``
-entries, past which a run computes without storing.  A run refuses a
-table of another phase or config before it draws, and a run given none
-stores nothing.  Stored values are frozen and depend on the key and
-stage state alone, and every run still draws its own trials in order,
-so sharing changes no bit.
+passes each run one :class:`StageTable`.  The table holds what such
+runs share.  Built, it checks the bit budget, so an over-budget config
+is refused before any run, and computes a run's constants (stage count,
+span, masks, shift, the ORACLE word, reps and half); a run reads them
+from it, and a run without a table computes them with the same
+function.  Filled by its runs, it keeps each stage's outcome-one
+probability per window state and, per decided integer, the first
+result that ended on it, up to ``StageTable.ENTRIES`` entries in all,
+past which a run computes without storing.  A run ending on a stored
+path returns the stored result when its vote counts are the stored
+log's, and otherwise builds its own result and log on the stored digit
+string and estimate and stores nothing; keying by the vote counts
+instead would fill the table with tuples that majorities of many votes
+seldom repeat.  A result depends only on the table's key and the run's
+vote counts, so this is exact.  A run refuses a table of another phase
+or config before it draws, and a run given none stores nothing.  Every
+run still draws its own trials in order, so sharing changes no bit.
 
 A run reads its ``n + guard`` rows of ``reps`` votes through one
 :class:`~qpesim.sampling.RunDraws` (its block layout is described in
@@ -216,7 +225,7 @@ class StageLog(Sequence[StageRecord]):
 
 
 class StageTable:
-    """Stage probabilities and leaves of one phase and config, for runs that repeat them.
+    """A run's set-up, stage probabilities and results of one phase and config.
 
     See "Stage table" in the module docstring.
     """
@@ -225,10 +234,37 @@ class StageTable:
 
     def __init__(self, phi: Phase, cfg: EstimatorConfig) -> None:
         self.key = (phi.raw, phi.width, cfg)
+        self.setup = _run_setup(phi.raw, phi.width, cfg)
         # per stage and window bits, packed as ``i << window | window_bits``, the
-        # outcome-one probability; per reported integer its (digit string, estimate Phase)
+        # outcome-one probability; per decided integer the result stored for it
         self.probs: dict[int, float] = {}
-        self.leaves: dict[int, tuple[str, Phase]] = {}
+        self.leaves: dict[int, EstimationResult] = {}
+
+
+def _run_setup(raw: int, width: int, cfg: EstimatorConfig) -> tuple[Any, ...]:
+    """The constants of a run on ``(raw, width, cfg)``; raises if the bit budget is exceeded.
+
+    In order: stage count, span, mask, residual shift, window mask, the
+    ORACLE correction word (None under ESTIMATED feedback), reps, half
+    of reps, and the run's test count.
+    """
+    total_stages = cfg.n + cfg.guard
+    window = cfg.window
+    check_bit_budget(total_stages + window, width)
+    span = 1 << width
+    reps = cfg.reps
+    return (
+        total_stages,
+        span,
+        span - 1,
+        width - 1 - window,
+        (1 << window) - 1,
+        # ORACLE's correction bits: raw aligned with the decided integer
+        raw >> (width - total_stages - window) if cfg.feedback is Feedback.ORACLE else None,
+        reps,
+        reps >> 1,
+        reps * total_stages,
+    )
 
 
 def semiclassical_estimate(
@@ -257,8 +293,16 @@ def semiclassical_estimate(
     the replay tests check this engine against.  The reported integer is
     the decided integer's top n bits.
 
-    ``stage_log`` and ``table`` are described under "Stage log" and
-    "Stage table" in the module docstring.
+    A ``table`` holds the run's constants, computed when it was built
+    (an over-budget config is refused there, with the message a run
+    without a table raises), the stage probabilities, and per decided
+    integer the first result stored for it.  A run refuses a table of
+    another phase or config before it draws.  A run on a table that
+    ends on a stored decided integer returns the stored result when its
+    vote counts are the stored ones, and otherwise its own result on
+    the stored digit string and estimate.  ``stage_log`` and the table
+    are described under "Stage log" and "Stage table" in the module
+    docstring.
 
     A generator ``rng`` is wrapped in one
     :class:`~qpesim.sampling.RunDraws` of ``n + guard`` rows of ``reps``
@@ -270,21 +314,16 @@ def semiclassical_estimate(
     it once the source's rows are all read.
     """
     width = phi.width
-    total_stages = cfg.n + cfg.guard
-    window = cfg.window
-    check_bit_budget(total_stages + window, width)
     raw = phi.raw
-    if table is not None and table.key != (raw, width, cfg):
+    if table is None:
+        probs, leaves = {}, {}
+        setup = _run_setup(raw, width, cfg)
+    elif table.key != (raw, width, cfg):
         raise ValueError("stage table belongs to another phase or configuration")
-    probs, leaves = ({}, {}) if table is None else (table.probs, table.leaves)
-    span = 1 << width
-    mask = span - 1
-    shift = width - 1 - window
-    window_mask = (1 << window) - 1
-    # ORACLE's correction bits: raw aligned with the decided integer
-    oracle = raw >> (width - total_stages - window) if cfg.feedback is Feedback.ORACLE else None
-    reps = cfg.reps
-    half = reps >> 1
+    else:
+        probs, leaves, setup = table.probs, table.leaves, table.setup
+    total_stages, span, mask, shift, window_mask, oracle, reps, half, tests = setup
+    window = cfg.window
     if rng.__class__ is RunDraws:
         rng.require(total_stages, reps)
     else:
@@ -306,18 +345,24 @@ def semiclassical_estimate(
         ones.append(h)
         if h > half:
             decided |= 1 << (total_stages + window - i)
-    value = decided >> (window + cfg.guard)
-    leaf = leaves.get(value)
-    if leaf is None:
-        leaf = (bin(value | 1 << cfg.n)[3:], Phase(value << (width - cfg.n), width))
-        if table is not None and len(probs) + len(leaves) < table.ENTRIES:
-            leaves[value] = leaf
-    return EstimationResult(
-        leaf[0],
-        leaf[1],
-        StageLog(raw, width, cfg, tuple(ones), decided, decided if oracle is None else oracle),
-        reps * total_stages,
+    votes = tuple(ones)
+    stored = leaves.get(decided)
+    if stored is None:
+        value = decided >> (window + cfg.guard)
+        bits, estimate = bin(value | 1 << cfg.n)[3:], Phase(value << (width - cfg.n), width)
+    elif stored.stage_log._ones == votes:
+        return stored
+    else:
+        bits, estimate = stored.bits, stored.estimate
+    result = EstimationResult(
+        bits,
+        estimate,
+        StageLog(raw, width, cfg, votes, decided, decided if oracle is None else oracle),
+        tests,
     )
+    if stored is None and table is not None and len(probs) + len(leaves) < table.ENTRIES:
+        leaves[decided] = result
+    return result
 
 
 def full_qft_config(

@@ -158,25 +158,16 @@ def phase_from_fraction(value: Fraction, width: int = DEFAULT_WIDTH) -> Phase:
 def phase_from_float(value: float, width: int = DEFAULT_WIDTH) -> Phase:
     """Round a float in [0, 1) to the nearest W-bit phase, ties to even.
 
-    Exact: the float is split into an integer mantissa and a binary
-    exponent, so the result equals ``phase_from_fraction(Fraction(value),
-    width)`` without building a Fraction.  A value that rounds up to 1
-    wraps to 0.
+    Exact: up to ``MAX_LDEXP_WIDTH`` the scaling by 2**W is exact and
+    ``round`` rounds half to even, so the result equals
+    ``phase_from_fraction(Fraction(value), width)``, which a wider phase
+    computes.  A value that rounds up to 1 wraps to 0.
     """
     if not 0.0 <= value < 1.0:  # also rejects NaN
         raise ValueError("phase value must lie in [0, 1)")
-    mantissa, exponent = math.frexp(value)
-    whole = int(math.ldexp(mantissa, 53))  # value == whole * 2**(exponent - 53), exactly
-    shift = exponent - 53 + width
-    if shift >= 0:
-        whole <<= shift
-    else:
-        dropped = whole & ((1 << -shift) - 1)
-        whole >>= -shift
-        half = 1 << (-shift - 1)
-        if dropped > half or (dropped == half and whole & 1):
-            whole += 1
-    return Phase(whole & ((1 << width) - 1), width)
+    if width > MAX_LDEXP_WIDTH:
+        return phase_from_fraction(Fraction(value), width)
+    return Phase(round(math.ldexp(value, width)) & ((1 << width) - 1), width)
 
 
 def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:

@@ -795,6 +795,55 @@ class TestStageTable:
         assert len({id(stored.bits), id(first.bits), id(second.bits)}) == 3
         assert len({id(stored.estimate), id(first.estimate), id(second.estimate)}) == 3
 
+    def test_repeated_votes_return_the_stored_result(self):
+        # off the grid full QFT decides its bits at random; one shot per stage
+        # makes the votes the decided bits, so a repeated path repeats its votes
+        phi, cfg = parse_phase("0.3"), full_qft_config(3)
+        table = StageTable(phi, cfg)
+        stored: dict[str, EstimationResult] = {}
+        for seed in range(40):
+            result = semiclassical_estimate(phi, cfg, gen(seed), table)
+            assert result == semiclassical_estimate(phi, cfg, gen(seed))
+            if result.bits in stored:
+                assert result is stored[result.bits]
+            stored.setdefault(result.bits, result)
+        assert 1 < len(stored) < 10 and len(table.leaves) == len(stored)
+
+    def test_other_votes_on_a_stored_path_share_its_digits(self):
+        # 25-vote majorities decide one path on a fixed phase with vote counts
+        # that seldom repeat: such a run builds its own log on the stored digits
+        phi, cfg = parse_phase("0.3"), constant_precision_config(4)
+        table = StageTable(phi, cfg)
+        first = semiclassical_estimate(phi, cfg, gen(0), table)
+        votes = [r.ones for r in first.stage_log]
+        decided = [r.bit for r in first.stage_log]
+        others = 0
+        for seed in range(1, 20):
+            result = semiclassical_estimate(phi, cfg, gen(seed), table)
+            assert result == semiclassical_estimate(phi, cfg, gen(seed))
+            if [r.bit for r in result.stage_log] == decided:
+                assert [r.ones for r in result.stage_log] != votes
+                others += 1
+                assert result.stage_log is not first.stage_log
+                assert result.bits is first.bits and result.estimate is first.estimate
+        assert others > 10
+        # runs with other votes store nothing new; the first run's votes, repeated,
+        # return its result
+        assert len(table.leaves) <= 20 - others
+        assert semiclassical_estimate(phi, cfg, gen(0), table) is first
+
+    def test_over_budget_table_refused_at_construction(self):
+        # full QFT at n = 3 needs 5 significant bits; width 8 allows 4
+        phi, cfg = Phase(181, 8), full_qft_config(3)
+        g = gen(1)
+        state = g.bit_generator.state
+        refused = "^configuration needs 5 significant bits; width 8 allows 4$"
+        with pytest.raises(ValueError, match=refused):
+            StageTable(phi, cfg)
+        with pytest.raises(ValueError, match=refused):
+            semiclassical_estimate(phi, cfg, g)
+        assert g.bit_generator.state == state
+
 
 class TestPinnedCallCounts:
     def test_const_run_draws_once_per_stage(self, count_calls):
