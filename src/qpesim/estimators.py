@@ -13,15 +13,16 @@ one shift and one mask whatever the phase's width; ORACLE feedback
 shifts ``raw`` once per run into the same alignment.
 
 Stage log.  A run keeps only its per-stage vote counts and that
-integer; its ``stage_log`` is a :class:`StageLog`, given that integer
-and the word the run read its corrections from (the integer, or under
-ORACLE feedback the shifted ``raw``).  The log builds the
-``StageRecord``s when first read, each bit and window read with the
-engine's shifts and each residual with the engine's expression, and
-caches them, so campaigns that never read the log build no residual
-``Phase``.  It acts as the tuple of those records for length, indexing,
-slicing, iteration, ``repr``, ``==`` (in either operand order) and
-``hash``.
+integer; its ``stage_log`` is a :class:`StageLog`, given the run's
+set-up (the constants a :class:`StageTable` holds) and the word the run
+read its corrections from (the integer, or under ORACLE feedback the
+shifted ``raw``).  The log builds the ``StageRecord``s when first read,
+each window read with the engine's shifts, each residual with the
+engine's expression and each bit as the stage's majority, ``ones >
+reps >> 1``, and caches them, so campaigns that never read the log
+build no residual ``Phase``.  It acts as the tuple of those records
+for length, indexing, slicing, iteration, ``repr``, ``==`` (in either
+operand order) and ``hash``.
 
 Stage table.  On a fixed eigenphase stage i sees only its last
 ``window`` decided bits, so a caller that repeats one phase and config
@@ -167,29 +168,22 @@ class StageLog(Sequence[StageRecord]):
     See "Stage log" in the module docstring.
     """
 
-    __slots__ = ("_raw", "_width", "_cfg", "_ones", "_decided", "_corrections", "_records")
+    __slots__ = ("_raw", "_width", "_setup", "_ones", "_corrections", "_records")
 
     def __init__(
-        self, raw: int, width: int, cfg: EstimatorConfig, ones: tuple[int, ...], decided: int,
-        corrections: int,
+        self, raw: int, width: int, setup: tuple[Any, ...], ones: tuple[int, ...], corrections: int
     ) -> None:
         self._raw = raw
         self._width = width
-        self._cfg = cfg
+        self._setup = setup
         self._ones = ones
-        self._decided = decided
         self._corrections = corrections
         self._records: tuple[StageRecord, ...] | None = None
 
     def _built(self) -> tuple[StageRecord, ...]:
         if self._records is None:
-            raw, width, cfg, decided = self._raw, self._width, self._cfg, self._decided
-            total_stages = cfg.n + cfg.guard
-            window = cfg.window
-            mask = (1 << width) - 1
-            shift = width - 1 - window
-            window_mask = (1 << window) - 1
-            source = self._corrections
+            raw, width, source = self._raw, self._width, self._corrections
+            total_stages, _, mask, shift, window_mask, _, reps, half, _ = self._setup
             self._records = tuple(
                 StageRecord(
                     i,
@@ -198,9 +192,9 @@ class StageLog(Sequence[StageRecord]):
                          - (((source >> (total_stages - i)) & window_mask) << shift)) & mask,
                         width,
                     ),
-                    cfg.reps,
+                    reps,
                     h,
-                    (decided >> (total_stages + window - i)) & 1,
+                    int(h > half),
                 )
                 for i, h in zip(range(total_stages, 0, -1), self._ones)
             )
@@ -357,7 +351,7 @@ def semiclassical_estimate(
     result = EstimationResult(
         bits,
         estimate,
-        StageLog(raw, width, cfg, votes, decided, decided if oracle is None else oracle),
+        StageLog(raw, width, setup, votes, decided if oracle is None else oracle),
         tests,
     )
     if stored is None and table is not None and len(probs) + len(leaves) < table.ENTRIES:

@@ -23,15 +23,15 @@ uniforms of one stream (one run's, or many consecutive runs') in blocks,
 one generator call for up to ``_CHUNK`` = 2**13 uniforms into one numpy
 block, and :func:`run_trials` counts each row from the block in one call.
 
-Two more clauses make that exact.  Sorted rows: a block's rows of 2 to
-``_ROW_MAX`` uniforms are sorted in place before they are counted, and a
-count of the uniforms below ``p`` does not depend on their order within
-the row, so the bisection count on a sorted row is the compare-and-count
-on the drawn one; longer rows stay unsorted and are counted with that
-compare.  Rewind: a run that stops before its last row puts the
-generator back over the uniforms it drew and did not read
-(:meth:`RunDraws.rewind`), so the generator's state after any run is the
-state per-row draws would have left.
+Two more clauses make that exact.  Sorted rows: a block holds only single
+uniforms or rows of 2 to ``_ROW_MAX`` uniforms, which are sorted in place
+before they are counted, and a count of the uniforms below ``p`` does not
+depend on their order within the row, so the bisection count on a sorted
+row is the compare-and-count on the drawn one; a longer row is not
+blocked but drawn by its own request.  Rewind: a run that stops before
+its last row puts the generator back over the uniforms it drew and did
+not read (:meth:`RunDraws.rewind`), so the generator's state after any
+run is the state per-row draws would have left.
 """
 
 from __future__ import annotations
@@ -57,17 +57,17 @@ _BLOCK = 1 << 10
 # (64 KiB of doubles): a default 16-bit Kitaev run fits one block, and
 # 2**16 raised validate's peak RSS by about 0.5 MB.
 _CHUNK = 1 << 13
-# Longest row a RunDraws block sorts: up to about here, sorting a row and
-# bisecting it costs no more than a numpy compare-and-count of it (under
-# timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Longer rows, up to
-# _CHUNK // 2, are counted unsorted from the block with that compare.  Odd,
-# so a const majority can use it.
+# Longest row a RunDraws block holds; a longer row is drawn by its own request.  Up to
+# about here, sorting a row and bisecting it costs no more than a numpy compare-and-count
+# (timeit on a 2-core Xeon, Python 3.11, numpy 2.4).  Odd, so a const majority can use it.
 _ROW_MAX = 301
 
 _BAD_MASTER = "master seed must be a 64-bit unsigned integer"
 _BAD_STREAM = "stream must be a 64-bit unsigned integer"
 _BAD_INDEX = "run index must be a 64-bit unsigned integer"
 _BAD_RUNS = "run count must be an integer in 0..2**64"
+_BAD_ROWS = "rows must be a nonnegative integer"
+_BAD_SIZE = "size must be a positive integer"
 
 
 @dataclass(frozen=True)
@@ -240,16 +240,18 @@ class RunDraws:
     Each row is read by one :func:`run_trials` request of exactly
     ``size`` trials, in order.  A request finding no unread row draws the
     next ``min(rows left, _CHUNK // size)`` rows with one ``rng.random``
-    call into one numpy block.  Rows of 2 to ``_ROW_MAX`` uniforms are
-    sorted in place and read through a ``memoryview``; :func:`run_trials`
-    counts the uniforms of such a row below ``p`` by bisection, of a row
-    of one uniform with one compare, and of a longer row with one numpy
-    compare-and-count on the unsorted block.  Sorting moves the uniforms
-    within their row but changes none, so the count is the one
-    ``count_nonzero(rng.random(size) < p)`` gives.  Rows longer than
-    ``_CHUNK // 2``, which a block would hold one at a time, are not
-    blocked at all: each request reads its row from ``rng`` through the
-    chunked path of :func:`run_trials`.
+    call into one numpy block, read through a ``memoryview``.  A block
+    holds only single uniforms or rows of 2 to ``_ROW_MAX`` uniforms,
+    sorted in place; :func:`run_trials` counts the uniforms of a sorted
+    row below ``p`` by bisection, and a single uniform with one compare.
+    Sorting moves the uniforms within their row but changes none, so the
+    count is the one ``count_nonzero(rng.random(size) < p)`` gives.  Rows
+    longer than ``_ROW_MAX`` are not blocked at all: each request reads
+    its row from ``rng`` through the chunked path of :func:`run_trials`.
+
+    ``rows`` and ``size`` may be any integer type ``operator.index``
+    reads; fewer than 0 rows, or rows of fewer than 1 uniform, are
+    refused when the source is built.
 
     A request of another size, or past the last row, raises before
     anything is drawn, as does :meth:`require` for a run that would make
@@ -262,6 +264,11 @@ class RunDraws:
     __slots__ = ("_rng", "_size", "_rows", "_view", "_pos", "_end")
 
     def __init__(self, rng: Generator, rows: int, size: int) -> None:
+        rows, size = as_int(rows, _BAD_ROWS), as_int(size, _BAD_SIZE)
+        if rows < 0:
+            raise ValueError(_BAD_ROWS)
+        if size < 1:
+            raise ValueError(_BAD_SIZE)
         self._rng = rng
         self._size = size
         self._rows = rows  # rows not yet drawn
@@ -269,17 +276,14 @@ class RunDraws:
         self._pos = self._end = 0
 
     def _draw(self) -> None:
-        """Draw the next block of rows and sort each row of 2 .. ``_ROW_MAX`` uniforms."""
+        """Draw the next block of rows and sort each row of more than one uniform."""
         size = self._size
         k = min(self._rows, _CHUNK // size)
         block = self._rng.random(k * size)
         self._rows -= k
-        if size > _ROW_MAX:
-            self._view = block  # counted with numpy, unsorted
-        else:
-            if size > 1:
-                block.reshape(k, size).sort(axis=1)
-            self._view = memoryview(block)
+        if size > 1:
+            block.reshape(k, size).sort(axis=1)
+        self._view = memoryview(block)
         self._end = k * size
 
     def require(self, rows: int, size: int) -> None:
@@ -317,10 +321,9 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     interchangeable.  It draws at most ``_CHUNK`` uniforms a call, so
     memory stays bounded for any m.  ``rng`` may be a
     :class:`RunDraws`, whose next row, of exactly m uniforms, is counted
-    from its block: by bisection on a sorted row of up to ``_ROW_MAX``,
-    with one compare for a row of one uniform, with a numpy compare for a
-    longer row, or through the chunked path for a row longer than
-    ``_CHUNK // 2``.
+    from its block, with one compare for a row of one uniform and by
+    bisection on a sorted row of up to ``_ROW_MAX``; a longer row is drawn
+    by its own request through the chunked path.
     """
     if m < 1:
         raise ValueError("trial count must be positive")
@@ -334,7 +337,7 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     if pos == rng._end:
         if not rng._rows:
             raise ValueError("request past the run's last row")
-        if 2 * m > _CHUNK:  # a block would hold this one row
+        if m > _ROW_MAX:  # a row no block holds
             rng._rows -= 1
             return _count(p, m, rng._rng)
         rng._draw()
@@ -342,9 +345,7 @@ def run_trials(p: float, m: int, rng: Generator | RunDraws) -> int:
     rng._pos = pos + m
     if m == 1:
         return 1 if rng._view[pos] < p else 0
-    if m <= _ROW_MAX:
-        return bisect_left(rng._view, p, pos, pos + m) - pos
-    return int(np.count_nonzero(rng._view[pos : pos + m] < p))
+    return bisect_left(rng._view, p, pos, pos + m) - pos
 
 
 def _count(p: float, m: int, rng: Generator) -> int:

@@ -616,15 +616,14 @@ class TestRunDrawsReplay:
             (constant_precision_config(16, 3, 0.05), [450]),
             (full_qft_config(5), [5]),
             (EstimatorConfig(n=4, window=2, reps=_ROW_MAX, guard=2), [6 * _ROW_MAX]),
-            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX + 2, guard=2), [6 * (_ROW_MAX + 2)]),
+            (EstimatorConfig(n=4, window=2, reps=_ROW_MAX + 2, guard=2), [_ROW_MAX + 2] * 6),
             (EstimatorConfig(n=1, window=2, reps=_CHUNK + 1, guard=2), [_CHUNK, 1] * 3),
         ],
         ids=["const", "qft", "row-max", "past-row-max", "past-chunk"],
     )
     def test_generator_calls_per_run(self, cfg, calls):
-        # rows of up to _CHUNK // 2 votes come from one block, sorted up to
-        # _ROW_MAX; longer rows are read from the generator, one row (in
-        # chunks) per stage
+        # rows of up to _ROW_MAX votes come sorted from one block; longer rows
+        # are read from the generator, one row (in chunks) per stage
         logged = LoggedGenerator(gen(1))
         semiclassical_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
         assert logged.sizes == calls

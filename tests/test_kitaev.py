@@ -550,15 +550,13 @@ class TestRunSource:
 
     @pytest.mark.parametrize("m1", [_ROW_MAX + 2, 1001, 4097])
     def test_long_batteries_replay_reference(self, m1):
-        # batteries past _ROW_MAX come unsorted from blocks of up to _CHUNK
-        # uniforms and are counted with numpy; 4097, past half a block, is
-        # drawn a battery at a time
+        # batteries past _ROW_MAX are not blocked: each is drawn from the
+        # generator by its own request
         assert _ROW_MAX < m1 <= _CHUNK
         cfg = KitaevConfig(n=16, eps=0.05, reps=m1)
         logged = LoggedGenerator(gen(1))
         kitaev_estimate(Phase(0x9E3779B97F4A7C15), cfg, logged)
-        full, rest = divmod(32, _CHUNK // m1)
-        assert logged.sizes == [_CHUNK // m1 * m1] * full + ([rest * m1] if rest else [])
+        assert logged.sizes == [m1] * 32
         for seed in range(8):
             phi = Phase(int(gen(seed, 1).integers(0, 1 << 64, dtype=np.uint64)))
             engine_rng, reference_rng = gen(seed), gen(seed)
@@ -570,9 +568,9 @@ class TestRunSource:
     def test_tie_raising_campaign_stops_where_the_reference_does(self):
         self._assert_tie_campaign_replays()
 
-    def test_tie_raising_campaign_on_unsorted_rows(self, monkeypatch):
-        # the same campaign with its rows of 2 past the row limit: each block
-        # holds unsorted rows, counted with numpy, and a tie rewinds over them
+    def test_tie_raising_campaign_on_unblocked_rows(self, monkeypatch):
+        # the same campaign with its rows of 2 past the row limit: each row
+        # comes straight from the generator, so a tie leaves none to rewind
         monkeypatch.setattr(sampling, "_ROW_MAX", 1)
         self._assert_tie_campaign_replays()
 

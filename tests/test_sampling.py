@@ -127,7 +127,7 @@ _P_VALUES = st.one_of(
 
 # Rows of _ROW_MAX uniforms one block holds.
 _BLOCK_ROWS = _CHUNK // _ROW_MAX
-# Rows a block holds of the shortest length counted unsorted.
+# Rows a block of _CHUNK would hold of the shortest odd length drawn per request.
 _LONG_ROWS = _CHUNK // (_ROW_MAX + 2)
 
 
@@ -148,10 +148,9 @@ class TestRunDraws:
         st.integers(min_value=0, max_value=2**32),
     )
     def test_counts_are_the_generator_rows(self, chunk, row_max, size, ps, seed):
-        # at a block of a few uniforms most runs span several blocks, rows
-        # past the row limit are counted unsorted, and rows past the block
-        # are read from the generator directly; no generator call draws more
-        # than a block
+        # at a block of a few uniforms most runs span several blocks, and
+        # rows past the row limit are read from the generator directly, in
+        # chunks; no generator call draws more than a block
         row_max = min(row_max, chunk)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_CHUNK", chunk)
@@ -177,12 +176,16 @@ class TestRunDraws:
             (1, 2 * _CHUNK + 5, [_CHUNK] * 2 + [5]),
             (25, 2 * (_CHUNK // 25) + 3, [_CHUNK // 25 * 25] * 2 + [75]),
             (_ROW_MAX, 2 * _BLOCK_ROWS + 4, [_BLOCK_ROWS * _ROW_MAX] * 2 + [4 * _ROW_MAX]),
-            (_ROW_MAX + 2, 2 * _LONG_ROWS + 1, [_LONG_ROWS * (_ROW_MAX + 2)] * 2 + [_ROW_MAX + 2]),
-            (_CHUNK // 2, 5, [_CHUNK] * 2 + [_CHUNK // 2]),
+            (_ROW_MAX + 1, 3, [_ROW_MAX + 1] * 3),
+            (_ROW_MAX + 2, 2 * _LONG_ROWS + 1, [_ROW_MAX + 2] * (2 * _LONG_ROWS + 1)),
+            (_CHUNK // 2, 5, [_CHUNK // 2] * 5),
             (_CHUNK // 2 + 1, 2, [_CHUNK // 2 + 1] * 2),
             (_CHUNK + 1, 2, [_CHUNK, 1] * 2),
         ],
-        ids=["one", "const", "row-max", "past-row-max", "half-chunk", "past-half-chunk", "past-chunk"],
+        ids=[
+            "one", "const", "row-max", "row-max-plus-one", "past-row-max", "half-chunk",
+            "past-half-chunk", "past-chunk",
+        ],
     )
     def test_block_stays_within_a_chunk(self, size, rows, calls):
         logged = LoggedGenerator(gen(9))
@@ -223,6 +226,18 @@ class TestRunDraws:
         with pytest.raises(ValueError, match="past the run's last row"):
             run_trials(0.5, size, source)
         assert g.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "rows,size,field",
+        [(5, 0, "size"), (-1, 5, "rows"), (3, 5.0, "size")],
+        ids=["zero-size", "negative-rows", "float-size"],
+    )
+    def test_bad_shape_is_refused_when_built(self, rows, size, field):
+        # refused with a ValueError naming the field, before anything is drawn
+        g = gen(8)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunDraws(g, rows, size)
+        assert g.bit_generator.state == gen(8).bit_generator.state
 
     def test_run_trials_checks_come_first(self):
         g = gen(8)
