@@ -3,23 +3,24 @@
 Every command is deterministic given ``--seed``: independent Monte
 Carlo runs draw their randomness (including random phases) from
 per-run derived streams, so output is byte-identical across
-invocations and independent of any parallel scheduling.  Exit codes:
-0 success, 1 usage error (or a reader that closed the output early),
-2 validation failure.
+invocations and independent of any parallel scheduling.  A command
+imports only the modules it runs: the Kitaev engine for ``--algo
+kitaev``, the exact oracle for ``validate``, and json or csv for that
+output format.  Exit codes: 0 success, 1 usage error (or a reader that
+closed the output early), 2 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import importlib
 import inspect
 import itertools
-import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,10 +41,11 @@ from .estimators import (
     estimation_error,
     full_qft_config,
 )
-from .kitaev import KitaevConfig
 from .phase import DEFAULT_WIDTH, Phase, parse_phase
-from .refsim import MAX_SAMPLED_BITS, self_checks
 from .sampling import RngSeed, make_generator, run_generators
+
+if TYPE_CHECKING:
+    from .kitaev import KitaevConfig
 
 _FORMATS = ("table", "json", "csv")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -72,8 +74,9 @@ def _fmt(x: float) -> str:
 
 # Each algo's library config builder, called as build(bits, **flags given), and
 # the optional run flags it takes (omitted ones are None); others are usage errors.
+# A builder named "module.name" is imported only when its algo runs.
 _ALGOS = {
-    "kitaev": (KitaevConfig, ("eps", "reps", "exact_constants")),
+    "kitaev": ("kitaev.KitaevConfig", ("eps", "reps", "exact_constants")),
     "qft": (full_qft_config, ("reps", "guard", "feedback")),
     "aqft": (aqft_config, ("degree", "reps", "guard", "feedback")),
     "const": (constant_precision_config, ("degree", "eps", "reps", "guard", "feedback")),
@@ -136,6 +139,9 @@ def _run_setup(
     if args.bits < 1:
         parser.error("--bits must be positive")
     build, flags = _ALGOS[args.algo]
+    if isinstance(build, str):
+        module, name = build.split(".")
+        build = getattr(importlib.import_module(f"{__package__}.{module}"), name)
     # In name order, so the first rejected flag is the same whatever the algo.
     for flag in sorted({flag for _, taken in _ALGOS.values() for flag in taken}):
         if getattr(args, flag) is not None and flag not in flags:
@@ -185,6 +191,8 @@ def _emit(
     rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
     names = [name for name, _, _ in columns]
     if fmt == "json":
+        import json
+
         # One row object at a time, so the document is never held whole; the
         # bytes are those of json.dumps(payload, indent=2).
         encode = json.JSONEncoder(indent=2).encode
@@ -204,6 +212,8 @@ def _emit(
         return
     cells = ([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(names)
         writer.writerows(cells)
@@ -241,6 +251,8 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         for key, value in fields + [("warning", note) for note in result.warnings]:
             print(f"{key:<12}{value}")
     else:
+        import json
+
         payload = dict(fields, warnings=list(result.warnings))
         payload["stages"] = [record.json_entry() for record in result.stage_log]
         print(json.dumps(payload, indent=2))
@@ -323,6 +335,8 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .refsim import MAX_SAMPLED_BITS, self_checks
+
     if not 1 <= args.bits <= MAX_SAMPLED_BITS:
         parser.error(f"--bits must lie in 1..{MAX_SAMPLED_BITS} for validation")
     if args.samples < 1:

@@ -22,8 +22,10 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Iterable, TypeVar
+from typing import TYPE_CHECKING, Any, Iterable, TypeVar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_WIDTH = 64
 
@@ -166,6 +168,8 @@ def phase_from_float(value: float, width: int = DEFAULT_WIDTH) -> Phase:
     if not 0.0 <= value < 1.0:  # also rejects NaN
         raise ValueError("phase value must lie in [0, 1)")
     if width > MAX_LDEXP_WIDTH:
+        from fractions import Fraction
+
         return phase_from_fraction(Fraction(value), width)
     return Phase(round(math.ldexp(value, width)) & ((1 << width) - 1), width)
 
@@ -208,6 +212,8 @@ def parse_phase(text: str, width: int = DEFAULT_WIDTH) -> Phase:
         raise ValueError(
             f"decimal phase literal's exponent exceeds the cap of {MAX_LITERAL_WIDTH} in magnitude"
         )
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpesim
 from qpesim import cli, estimators, kitaev, sampling
 from qpesim.cli import _ALGOS, _emit, _fmt, _random_phase, _run_setup, build_parser, main
 from qpesim.estimators import EstimatorConfig, constant_precision_config
@@ -908,6 +910,109 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []"
+
+    # Modules a command loads only when it runs them.  numpy loads some
+    # modules itself, which differ between versions, so each is watched for
+    # beyond what `import numpy.random` loads.
+    _DEFERRED = ("qpesim.kitaev", "qpesim.refsim", "json", "csv", "fractions")
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            ("", set()),
+            ("montecarlo --algo const --bits 16 --runs 20", set()),
+            ("montecarlo --algo qft --bits 4 --runs 5 --phase 0.101b", set()),
+            ("montecarlo --algo kitaev --bits 4 --runs 5", {"qpesim.kitaev"}),
+            ("validate --samples 200", {"qpesim.refsim", "fractions"}),
+            ("montecarlo --algo const --bits 4 --runs 5 --format json", {"json"}),
+            ("montecarlo --algo const --bits 4 --runs 5 --format csv", {"csv"}),
+            ("estimate --algo aqft --degree 2 --bits 4 --format json", {"json"}),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, loads):
+        script = (
+            "import sys\n"
+            "import numpy.random\n"
+            f"watched = {self._DEFERRED!r}\n"
+            "before = [name for name in watched if name in sys.modules]\n"
+            "from qpesim.cli import build_parser, main\n"
+            "build_parser()\n"
+            "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "added = [name for name in watched if name in sys.modules and name not in before]\n"
+            "print(code, ','.join(before), ','.join(added), sep='|', file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv.split()], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, before, added = proc.stderr.splitlines()[-1].split("|")
+        assert code == "0"
+        assert set(filter(None, added.split(","))) == loads - set(before.split(","))
+
+
+# The package's public names, under the modules that define them.
+_PUBLIC = {
+    "bounds": [
+        "BudgetMode", "TrialTableRow", "aqft_lower_bound", "aqft_lower_bound_cheung",
+        "aqft_lower_bound_window", "chernoff_tail", "const_precision_success_per_test",
+        "const_precision_trials", "kitaev_accuracy_threshold", "kitaev_total_budget",
+        "kitaev_trials_per_bit", "qft_lower_bound", "round_up_to_odd", "trial_ratio",
+        "trials_table",
+    ],
+    "estimators": [
+        "EstimationResult", "EstimatorConfig", "Feedback", "StageRecord", "aqft_config",
+        "constant_precision_config", "estimation_error", "full_qft_config", "is_success",
+        "semiclassical_estimate",
+    ],
+    "kitaev": [
+        "KitaevConfig", "StageEstimate", "arctan_phase", "estimate_stage", "kitaev_estimate",
+        "snap_beta", "stitch_bits", "trials_per_basis", "within_guarantee",
+    ],
+    "phase": [
+        "DEFAULT_WIDTH", "Phase", "mod1_distance", "parse_phase", "phase_from_bits",
+        "phase_from_float", "phase_from_fraction",
+    ],
+    "refsim": ["MAX_DENSE_BITS", "best_outcome_mass", "empirical_vs_exact", "qpe_distribution_exact"],
+    "sampling": ["RngSeed", "derive_run_seed", "make_generator", "run_generators", "run_trials"],
+}
+
+
+class TestPackageNamespace:
+    """``qpesim`` imports each public name's module on first access."""
+
+    def test_all_lists_the_public_names(self):
+        names = [name for names in _PUBLIC.values() for name in names]
+        assert len(names) == 50
+        assert sorted(qpesim.__all__) == sorted(names)
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in _PUBLIC.items() for n in names])
+    def test_name_is_its_modules_object(self, module, name):
+        assert getattr(qpesim, name) is getattr(importlib.import_module(f"qpesim.{module}"), name)
+
+    def test_names_and_submodules_import_on_first_access(self):
+        # In a fresh process: here the tests have loaded every module already.
+        script = (
+            "import sys\n"
+            "import qpesim\n"
+            "assert not [name for name in sys.modules if name.startswith('qpesim.')], sys.modules\n"
+            "from qpesim import KitaevConfig\n"
+            "assert 'qpesim.kitaev' in sys.modules and 'qpesim.refsim' not in sys.modules\n"
+            "from qpesim import kitaev\n"
+            "assert KitaevConfig is kitaev.KitaevConfig is qpesim.KitaevConfig\n"
+            "assert qpesim.refsim.MAX_DENSE_BITS == qpesim.MAX_DENSE_BITS\n"
+            "print('ok', file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "ok"
+
+    def test_dir_lists_all(self):
+        assert set(qpesim.__all__) <= set(dir(qpesim))
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qpesim.no_such_name
+        assert not hasattr(qpesim, "no_such_name")
 
 
 # Values no flag may turn into a traceback: non-finite and signed floats,
