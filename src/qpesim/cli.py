@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import inspect
 import itertools
 import math
@@ -36,10 +35,7 @@ from .bounds import (
 from .estimators import (
     EstimatorConfig,
     StageTable,
-    aqft_config,
-    constant_precision_config,
     estimation_error,
-    full_qft_config,
 )
 from .phase import DEFAULT_WIDTH, Phase, parse_phase
 from .sampling import RngSeed, make_generator, run_generators
@@ -74,12 +70,13 @@ def _fmt(x: float) -> str:
 
 # Each algo's library config builder, called as build(bits, **flags given), and
 # the optional run flags it takes (omitted ones are None); others are usage errors.
-# A builder named "module.name" is imported only when its algo runs.
+# Builders are named by their package name, so a builder's module is imported
+# only when its algo runs.
 _ALGOS = {
-    "kitaev": ("kitaev.KitaevConfig", ("eps", "reps", "exact_constants")),
-    "qft": (full_qft_config, ("reps", "guard", "feedback")),
-    "aqft": (aqft_config, ("degree", "reps", "guard", "feedback")),
-    "const": (constant_precision_config, ("degree", "eps", "reps", "guard", "feedback")),
+    "kitaev": ("KitaevConfig", ("eps", "reps", "exact_constants")),
+    "qft": ("full_qft_config", ("reps", "guard", "feedback")),
+    "aqft": ("aqft_config", ("degree", "reps", "guard", "feedback")),
+    "const": ("constant_precision_config", ("degree", "eps", "reps", "guard", "feedback")),
 }
 
 
@@ -138,10 +135,8 @@ def _run_setup(
     """Check the run flags, then build the fixed phase (None for 'random') and the config."""
     if args.bits < 1:
         parser.error("--bits must be positive")
-    build, flags = _ALGOS[args.algo]
-    if isinstance(build, str):
-        module, name = build.split(".")
-        build = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    build_name, flags = _ALGOS[args.algo]
+    build = getattr(sys.modules[__package__], build_name)
     # In name order, so the first rejected flag is the same whatever the algo.
     for flag in sorted({flag for _, taken in _ALGOS.values() for flag in taken}):
         if getattr(args, flag) is not None and flag not in flags:
